@@ -86,7 +86,16 @@ def _out_dir(profile, args) -> Path | None:
     return path
 
 
+# sweep subcommand -> prefix of the profile fields its --start/--stop/--points set
+_SWEEP_FIELDS = {"cr-rabi": "rabi", "tau2": "tau2"}
+
+
 def _profile(args) -> cfgmod.RunProfile:
+    """The --config profile with the command's flags applied on top.
+
+    The result is validated as a whole, so a bad flag fails with the
+    same field-level message as the same value in an INI file.
+    """
     profile = cfgmod.load_profile(getattr(args, "config", None))
     if getattr(args, "seed", None) is not None:
         profile.seed = args.seed
@@ -102,6 +111,21 @@ def _profile(args) -> cfgmod.RunProfile:
     if getattr(args, "exact", False):
         profile.shots = None
         profile.qpt_shots = None
+    if getattr(args, "gate", None) is not None:
+        profile.interleaved_gate = args.gate
+    if getattr(args, "bare", False):
+        profile.bare_gate = True
+    if getattr(args, "target", None) is not None:
+        profile.qpt_target = args.target
+    if getattr(args, "spam_aware", False):
+        profile.qpt_spam_aware = True
+    if args.command == "sweep":
+        prefix = _SWEEP_FIELDS[args.subcommand]
+        for name in ("start", "stop", "points"):
+            value = getattr(args, name)
+            if value is not None:
+                setattr(profile, f"{prefix}_{name}", value)
+    cfgmod.validate(profile)
     return profile
 
 
@@ -240,12 +264,6 @@ def cmd_rb_standard(args) -> int:
 
 def cmd_rb_interleaved(args) -> int:
     profile = _profile(args)
-    if args.gate is not None:
-        profile.interleaved_gate = args.gate
-    if args.bare:
-        profile.bare_gate = True
-    if profile.bare_gate and profile.interleaved_gate != "zx":
-        raise CliError("--bare applies to the zx gate only")
     table = clifford_table()
     cfg = profile.rb_config()
     noise = profile.noise(table)
@@ -327,10 +345,6 @@ def cmd_rb_simultaneous(args) -> int:
 
 def cmd_qpt(args) -> int:
     profile = _profile(args)
-    if args.target is not None:
-        profile.qpt_target = args.target
-    if args.spam_aware:
-        profile.qpt_spam_aware = True
     table = clifford_table()
     if profile.qpt_target == "identity":
         index = table.index_of(SignedPauliPerm.identity(2))
@@ -381,12 +395,6 @@ def cmd_qpt(args) -> int:
 
 def cmd_sweep_cr_rabi(args) -> int:
     profile = _profile(args)
-    if args.start is not None:
-        profile.rabi_start = args.start
-    if args.stop is not None:
-        profile.rabi_stop = args.stop
-    if args.points is not None:
-        profile.rabi_points = args.points
     if profile.rabi_stop <= profile.rabi_start:
         raise CliError("sweep stop must exceed start")
     params = profile.device
@@ -426,12 +434,6 @@ def cmd_sweep_cr_rabi(args) -> int:
 
 def cmd_sweep_tau2(args) -> int:
     profile = _profile(args)
-    if args.start is not None:
-        profile.tau2_start = args.start
-    if args.stop is not None:
-        profile.tau2_stop = args.stop
-    if args.points is not None:
-        profile.tau2_points = args.points
     if profile.tau2_stop <= profile.tau2_start or profile.tau2_start < 0:
         raise CliError("tau2 grid must be non-negative and increasing")
     table = clifford_table()

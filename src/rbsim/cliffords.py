@@ -247,12 +247,6 @@ def s1_elements() -> tuple[SignedPauliPerm, SignedPauliPerm, SignedPauliPerm]:
     return (SignedPauliPerm.identity(1), s, s.compose(s))
 
 
-def _c1_word_of(perm: SignedPauliPerm) -> tuple[str, ...]:
-    elems, words = c1_elements()
-    lookup = {e.key: w for e, w in zip(elems, words)}
-    return lookup[perm.key]
-
-
 class CliffordTable:
     """The full two-qubit Clifford group, indexed, with circuits.
 
@@ -327,11 +321,11 @@ class CliffordTable:
         )
         if check.key != swap_perm.key:
             raise RuntimeError("three-entangler SWAP identity failed to verify")
-        swap_middle_words = (_c1_word_of(h.compose(p1)), _c1_word_of(h.compose(p2)))
+        swap_middle_words = (w1[h.compose(p1).key], w1[h.compose(p2).key])
         iswap_middle_pair = pair_of[iswap_middle.key]
         iswap_middle_words = (
-            _c1_word_of(iswap_middle_pair[0]),
-            _c1_word_of(iswap_middle_pair[1]),
+            w1[iswap_middle_pair[0].key],
+            w1[iswap_middle_pair[1].key],
         )
 
         elements: list[SignedPauliPerm] = []
@@ -383,16 +377,15 @@ class CliffordTable:
                             for mw in middles:
                                 body += [single_qubit_layer(*mw), zx_layer]
                             body.append(
-                                single_qubit_layer(_c1_word_of(pa), _c1_word_of(pb))
+                                single_qubit_layer(w1[pa.key], w1[pb.key])
                             )
                             add(elem, layers(*body), cls)
 
         # class 4: (A x B) . SWAP
-        p1w, p2w = _c1_word_of(p1), _c1_word_of(p2)
         for a in c1:
-            pa = _c1_word_of(a.compose(p1))
+            pa = w1[a.compose(p1).key]
             for b in c1:
-                pb = _c1_word_of(b.compose(p2))
+                pb = w1[b.compose(p2).key]
                 elem = a.tensor(b).compose(swap_perm)
                 circuit = layers(
                     zx_layer,

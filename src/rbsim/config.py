@@ -209,11 +209,12 @@ def load_profile(path: str | None = None) -> RunProfile:
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
 
-    _validate(profile)
+    validate(profile)
     return profile
 
 
-def _validate(profile: RunProfile) -> None:
+def validate(profile: RunProfile) -> None:
+    """Raise ConfigError naming the first field with an invalid value."""
     if profile.noise_model not in NOISE_MODELS:
         raise ConfigError(
             f"noise_model must be one of {NOISE_MODELS}, "
@@ -234,6 +235,8 @@ def _validate(profile: RunProfile) -> None:
             raise ConfigError(f"{name} must lie in (0, 1], got {value}")
     if profile.threads < 1:
         raise ConfigError("threads must be at least 1")
+    if profile.qpt_shots is not None and profile.qpt_shots < 1:
+        raise ConfigError("qpt shots must be positive (or exact)")
     for name in ("rabi_points", "tau2_points"):
         if getattr(profile, name) < 2:
             raise ConfigError(f"{name} must be at least 2")

@@ -249,22 +249,75 @@ def device_decoherence_channel(p: DeviceParams, duration_ns: float) -> NoiseChan
     return NoiseChannel(tuple(np.kron(a, b) for a in ops1 for b in ops2))
 
 
+def _qubit_decoherence_ptm(t1_us: float, t2_us: float,
+                           duration_ns: float) -> np.ndarray:
+    """Closed-form transfer matrix of relaxation plus dephasing on one
+    qubit: X and Y decay as exp(-t/T2), Z relaxes towards +1 as
+    exp(-t/T1).  Equal to the PTM of :func:`_qubit_decoherence_kraus`."""
+    if duration_ns < 0:
+        raise ValueError("duration must be nonnegative")
+    if t2_us > 2 * t1_us + 1e-12:
+        raise ValueError(f"T2 = {t2_us} exceeds 2*T1 = {2 * t1_us}")
+    decay_xy = math.exp(-duration_ns / (t2_us * 1e3))
+    decay_z = math.exp(-duration_ns / (t1_us * 1e3))
+    return np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, decay_xy, 0.0, 0.0],
+        [0.0, 0.0, decay_xy, 0.0],
+        [1.0 - decay_z, 0.0, 0.0, decay_z],
+    ])
+
+
+@functools.lru_cache(maxsize=1024)
+def decoherence_ptm(
+    t1_1_us: float, t2_1_us: float, t1_2_us: float, t2_2_us: float,
+    duration_ns: float,
+) -> np.ndarray:
+    """Two-qubit T1/T2 transfer matrix over one duration, closed form.
+
+    The channel acts on each qubit independently, so its PTM is the
+    Kronecker product of the one-qubit matrices (qubit 1 is the slow
+    index).  Layers take only a few distinct durations, so the result
+    is cached by the five numbers and returned read-only.
+    """
+    r = np.kron(_qubit_decoherence_ptm(t1_1_us, t2_1_us, duration_ns),
+                _qubit_decoherence_ptm(t1_2_us, t2_2_us, duration_ns))
+    r.setflags(write=False)
+    return r
+
+
 def layer_duration_ns(layer: Layer, p: DeviceParams) -> float:
     if layer.kind == "zx":
         return p.zx_gate_ns
     return layer.n_slots * p.t_single_ns
 
 
+@functools.lru_cache(maxsize=4096)
+def _pulse_layer_perm(layer: Layer) -> np.ndarray:
+    """Exact ideal action of a pulse layer, independent of the device,
+    as one int8 array of rows (perm, sign): Pauli j goes to sign[j]
+    times Pauli perm[j].  One small array per layer keeps the cache
+    compact."""
+    elem = layer.perm()
+    return np.array((elem.perm, elem.sign), dtype=np.int8)
+
+
 @functools.lru_cache(maxsize=8192)
 def gate_channel(layer: Layer, p: DeviceParams) -> np.ndarray:
     """Noisy transfer matrix of one circuit layer.
 
-    The ideal layer unitary (for the entangling layer, the device's
-    actual refocused unitary at the current calibration, including the
-    residual_ix/residual_zi coherent-error knob) is followed by the
-    per-qubit decoherence channel over the layer's wall-clock duration.
-    The returned array is cached and read-only.
+    The ideal layer is followed by the per-qubit decoherence channel
+    over the layer's wall-clock duration, and the result is the product
+    of two cached parts.  The decoherence part is the closed-form
+    :func:`decoherence_ptm`, shared by every layer of the same duration
+    and T1/T2 values.  For a pulse layer the ideal part is its exact
+    signed permutation, which depends on the layer alone; the
+    entangling layer uses the device's actual refocused unitary at the
+    current calibration, including the residual_ix/residual_zi
+    coherent-error knob.  The returned array is cached and read-only.
     """
+    decay = decoherence_ptm(p.t1_1_us, p.t2_1_us, p.t1_2_us, p.t2_2_us,
+                            layer_duration_ns(layer, p))
     if layer.kind == "zx":
         u = zx_layer_unitary(p)
         if p.residual_ix != 0.0 or p.residual_zi != 0.0:
@@ -272,13 +325,12 @@ def gate_channel(layer: Layer, p: DeviceParams) -> np.ndarray:
                 p.residual_ix * IX + p.residual_zi * ZI, 1.0
             )
             u = err @ u
-        ideal = pauli.unitary_to_ptm(u)
+        noisy = decay @ pauli.unitary_to_ptm(u)
     else:
-        u = np.eye(4, dtype=complex)
-        for g1, g2 in layer.pulses:
-            u = np.kron(gate_unitary(g1), gate_unitary(g2)) @ u
-        ideal = pauli.unitary_to_ptm(u)
-    noisy = device_decoherence_channel(p, layer_duration_ns(layer, p)).ptm() @ ideal
+        # times a signed permutation matrix: column j of the product is
+        # column perm[j] of the decoherence part, times sign[j]
+        perm, sign = _pulse_layer_perm(layer)
+        noisy = decay[:, perm] * sign
     noisy.setflags(write=False)
     return noisy
 

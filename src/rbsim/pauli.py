@@ -35,15 +35,6 @@ UNITARY_ATOL = 1e-10
 HERMITIAN_ATOL = 1e-10
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("kron expects square matrices")
-    return np.kron(a, b)
-
-
 @functools.lru_cache(maxsize=None)
 def pauli_labels(n_qubits: int) -> tuple[str, ...]:
     """Ordered Pauli label strings, e.g. ("II", "IX", ..., "ZZ") for n=2."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -100,7 +101,16 @@ def depolarizing_ptm(p: float, n_qubits: int = 2) -> np.ndarray:
 
 
 class DeviceNoiseModel:
-    """Per-Clifford channels from circuit layers and device decoherence."""
+    """Per-Clifford channels from circuit layers and device decoherence.
+
+    A Clifford's channel is the time-ordered product of its layers'
+    :func:`device.gate_channel` matrices, built on first use and kept
+    for the life of the model.  The layer channels themselves are
+    shared across models: the decoherence part is cached by duration
+    and T1/T2 and the pulse-layer part by the layer alone, so a model
+    for fresh device parameters (one tau2 grid point, say) costs only
+    the 16x16 products.
+    """
 
     def __init__(self, params: dev.DeviceParams, table: CliffordTable):
         self.params = params
@@ -234,19 +244,19 @@ def sample_sequence_family(
     gate repetitions).
     """
     lengths = list(lengths)
-    base = rng.integers(0, len(table), size=lengths[-1])
+    base = rng.integers(0, len(table), size=lengths[-1]).tolist()
     out = []
     running = table.index_of(SignedPauliPerm.identity(2))
     done = 0
     for target in lengths:
         for k in base[done:target]:
-            running = table.compose_indices(int(k), running)
+            running = table.compose_indices(k, running)
             if interleaved is not None:
                 running = table.compose_indices(interleaved, running)
         done = target
         out.append(
             RBSequence(
-                indices=tuple(int(k) for k in base[:target]),
+                indices=tuple(base[:target]),
                 inversion=int(table.inverse_indices[running]),
                 interleaved=interleaved,
             )
@@ -254,16 +264,35 @@ def sample_sequence_family(
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _sample_families(
+    table: CliffordTable,
+    lengths: tuple[int, ...],
+    n_sequences: int,
+    seed: int,
+    interleaved: int | None,
+) -> tuple[tuple[RBSequence, ...], ...]:
+    return tuple(
+        tuple(sample_sequence_family(
+            table, lengths, _family_rng(seed, fam), interleaved
+        ))
+        for fam in range(n_sequences)
+    )
+
+
 def sample_sequences(
     cfg: RBConfig, table: CliffordTable, interleaved: int | None = None
-) -> list[list[RBSequence]]:
-    """All sequence families of a campaign, deterministic in cfg.seed."""
-    return [
-        sample_sequence_family(
-            table, cfg.lengths, _family_rng(cfg.seed, fam), interleaved
-        )
-        for fam in range(cfg.n_sequences)
-    ]
+) -> tuple[tuple[RBSequence, ...], ...]:
+    """All sequence families of a campaign, deterministic in cfg.seed.
+
+    The draw depends only on (lengths, n_sequences, seed, interleaved)
+    and the table, so it is made once per process and shared: the
+    campaigns of a tau2 sweep (device run and both decoherence-only
+    limits at every grid point) all reuse one set of families.  The
+    result is an immutable tuple of tuples for that reason.
+    """
+    return _sample_families(table, tuple(cfg.lengths), cfg.n_sequences,
+                            cfg.seed, interleaved)
 
 
 # --- simulation ------------------------------------------------------------
@@ -288,7 +317,7 @@ def survival_probability(
 
 
 def _family_survivals(
-    family: list[RBSequence],
+    family: tuple[RBSequence, ...],
     noise,
     spam: dev.SpamModel,
     shots: int | None,
@@ -576,29 +605,59 @@ def write_decay_csv(path, datasets) -> None:
 
 
 def read_decay_csv(path) -> dict[str, DecayDataset]:
-    """Rebuild datasets from a decay CSV (exact float round trip)."""
-    cells: dict[str, dict[int, dict[int, float]]] = {}
-    shots_of: dict[str, int | None] = {}
-    seed_of: dict[str, int] = {}
+    """Rebuild datasets from a decay CSV (exact float round trip).
+
+    Each protocol must have one row for every (length, seq_index) of
+    its grid and one shots and one seed value; otherwise ValueError
+    names the first missing cell or the inconsistent column.
+    """
+    cells: dict[str, dict[tuple[int, int], float]] = {}
+    shots_of: dict[str, set] = {}
+    seed_of: dict[str, set] = {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
+        missing = set(CSV_HEADER) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: missing column(s) "
+                             f"{', '.join(sorted(missing))}")
         for rec in reader:
             proto = rec["protocol"]
-            cells.setdefault(proto, {}).setdefault(
-                int(rec["length"]), {}
-            )[int(rec["seq_index"])] = float(rec["p00"])
-            shots_of[proto] = (
-                None if rec["shots"] == "exact" else int(rec["shots"])
-            )
-            seed_of[proto] = int(rec["seed"])
+            try:
+                cell = (int(rec["length"]), int(rec["seq_index"]))
+                value = float(rec["p00"])
+                shots = None if rec["shots"] == "exact" else int(rec["shots"])
+                seed = int(rec["seed"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {exc}") from None
+            if cell[0] < 1 or cell[1] < 0:
+                raise ValueError(f"{path}: line {reader.line_num}: "
+                                 f"(length, seq_index) = {cell} out of range")
+            by_cell = cells.setdefault(proto, {})
+            if cell in by_cell:
+                raise ValueError(f"{path}: duplicate {proto} row "
+                                 f"(length, seq_index) = {cell}")
+            by_cell[cell] = value
+            shots_of.setdefault(proto, set()).add(shots)
+            seed_of.setdefault(proto, set()).add(seed)
     out = {}
-    for proto, by_length in cells.items():
-        lengths = tuple(sorted(by_length))
-        n_seq = len(by_length[lengths[0]])
+    for proto, by_cell in cells.items():
+        for column, values in (("shots", shots_of[proto]),
+                               ("seed", seed_of[proto])):
+            if len(values) != 1:
+                raise ValueError(f"{path}: {proto} rows have inconsistent "
+                                 f"{column} values {sorted(map(str, values))}")
+        lengths = tuple(sorted({length for length, _ in by_cell}))
+        n_seq = max(col for _, col in by_cell) + 1
         grid = np.empty((len(lengths), n_seq))
         for r, length in enumerate(lengths):
             for c in range(n_seq):
-                grid[r, c] = by_length[length][c]
-        out[proto] = DecayDataset(proto, seed_of[proto], lengths, grid,
-                                  shots_of[proto])
+                try:
+                    grid[r, c] = by_cell[length, c]
+                except KeyError:
+                    raise ValueError(
+                        f"{path}: missing {proto} row (length, seq_index) "
+                        f"= ({length}, {c})") from None
+        out[proto] = DecayDataset(proto, seed_of[proto].pop(), lengths, grid,
+                                  shots_of[proto].pop())
     return out

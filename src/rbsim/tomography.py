@@ -238,20 +238,55 @@ def write_qpt_csv(path, data: QptData) -> None:
 
 
 def read_qpt_csv(path) -> QptData:
-    records = []
-    shots: int | None = None
-    seed = 0
+    """Rebuild tomography data from :func:`write_qpt_csv` output.
+
+    Every (prep, meas, outcome) cell of the square settings grid must
+    appear exactly once and all rows must agree on shots and seed;
+    otherwise ValueError names the first offending cell or column.
+    """
+    cells: dict[tuple[int, int, int], float] = {}
+    shots_seen: set = set()
+    seeds_seen: set = set()
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
+        missing = set(QPT_CSV_HEADER) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: missing column(s) "
+                             f"{', '.join(sorted(missing))}")
         for rec in reader:
-            records.append(
-                (int(rec["meas"]), int(rec["outcome"]), int(rec["prep"]),
-                 float(rec["probability"]))
-            )
-            shots = None if rec["shots"] == "exact" else int(rec["shots"])
-            seed = int(rec["seed"])
-    n = max(r[2] for r in records) + 1
-    probs = np.zeros((4 * (max(r[0] for r in records) + 1), n))
-    for m, o, s, value in records:
-        probs[4 * m + o, s] = value
-    return QptData(probabilities=probs, shots=shots, seed=seed)
+            try:
+                cell = (int(rec["prep"]), int(rec["meas"]),
+                        int(rec["outcome"]))
+                value = float(rec["probability"])
+                shots_seen.add(None if rec["shots"] == "exact"
+                               else int(rec["shots"]))
+                seeds_seen.add(int(rec["seed"]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {exc}") from None
+            if min(cell) < 0 or cell[2] > 3:
+                raise ValueError(f"{path}: line {reader.line_num}: "
+                                 f"(prep, meas, outcome) = {cell} out of range")
+            if cell in cells:
+                raise ValueError(f"{path}: duplicate (prep, meas, outcome) "
+                                 f"= {cell}")
+            cells[cell] = value
+    if not cells:
+        raise ValueError(f"{path}: no data rows")
+    for column, values in (("shots", shots_seen), ("seed", seeds_seen)):
+        if len(values) != 1:
+            raise ValueError(f"{path}: rows have inconsistent {column} "
+                             f"values {sorted(map(str, values))}")
+    n = max(max(s, m) for s, m, _ in cells) + 1
+    probs = np.empty((4 * n, n))
+    for m in range(n):
+        for o in range(4):
+            for s in range(n):
+                try:
+                    probs[4 * m + o, s] = cells[s, m, o]
+                except KeyError:
+                    raise ValueError(
+                        f"{path}: missing row (prep, meas, outcome) = "
+                        f"({s}, {m}, {o})") from None
+    return QptData(probabilities=probs, shots=shots_seen.pop(),
+                   seed=seeds_seen.pop())

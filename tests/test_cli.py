@@ -244,6 +244,21 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
     assert code == 1 and "bare" in err
 
 
+def test_flags_are_validated_like_config_values(capsys):
+    cases = [
+        (("rb", "standard", "--threads", "-3", "--lengths", "1-4",
+          "--sequences", "2"), "threads"),
+        (("qpt", "--shots", "-5"), "shots"),
+        (("sweep", "tau2", "--points", "1"), "tau2_points"),
+        (("sweep", "cr-rabi", "--points", "0"), "rabi_points"),
+    ]
+    for argv, field in cases:
+        code, summary, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert summary is None
+        assert field in err
+
+
 def test_seed_in_every_summary(capsys, depol_config):
     commands = [
         ("group", "stats"),

@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from rbsim import device, pauli
-from rbsim.cliffords import Layer, gate_unitary, zx_perm
+from rbsim import device, pauli, rb
+from rbsim.cliffords import Layer, clifford_table, gate_unitary, zx_perm
 from rbsim.device import DeviceParams, SpamModel
 
 NOISELESS = DeviceParams(
@@ -251,6 +251,61 @@ def test_two_qubit_zz_decay():
     assert zz < 1.0
     expect = math.exp(-420.0 / 11.6e3) * math.exp(-420.0 / 9.1e3)
     assert zz == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("params", [
+    DeviceParams(),
+    NOISELESS,
+    DeviceParams(t2_1_us=2 * 11.6, t2_2_us=2 * 9.1),
+], ids=["default", "infinite", "t2_at_2t1"])
+def test_decoherence_ptm_closed_form_matches_kraus(params):
+    # default T1/T2 differ between the qubits, so a swapped Kronecker
+    # order (qubit 1 must be the slow index) shows up here
+    for duration in (0.0, 32.0, 64.0, 420.0, params.zx_gate_ns):
+        got = device.decoherence_ptm(params.t1_1_us, params.t2_1_us,
+                                     params.t1_2_us, params.t2_2_us, duration)
+        kraus = device.device_decoherence_channel(params, duration).ptm()
+        np.testing.assert_allclose(got, kraus, rtol=0, atol=1e-14)
+        assert not got.flags.writeable
+
+
+def test_decoherence_ptm_rejects_unphysical_input():
+    with pytest.raises(ValueError, match="exceeds 2\\*T1"):
+        device.decoherence_ptm(11.6, 7.1, 5.0, 10.1, 100.0)
+    with pytest.raises(ValueError, match="exceeds 2\\*T1"):
+        device.decoherence_ptm(5.0, 10.1, 11.6, 7.1, 100.0)
+    with pytest.raises(ValueError, match="duration"):
+        device.decoherence_ptm(11.6, 7.1, 9.1, 5.6, -1.0)
+
+
+def _kraus_unitary_gate_channel(layer, p):
+    """Layer channel built the long way: the Kraus-operator decoherence
+    PTM times the PTM of the layer's unitary."""
+    if layer.kind == "zx":
+        u = device.zx_layer_unitary(p)
+    else:
+        u = np.eye(4, dtype=complex)
+        for g1, g2 in layer.pulses:
+            u = np.kron(gate_unitary(g1), gate_unitary(g2)) @ u
+    decay = device.device_decoherence_channel(
+        p, device.layer_duration_ns(layer, p)).ptm()
+    return decay @ pauli.unitary_to_ptm(u)
+
+
+@pytest.mark.parametrize("t1_limited", [False, True])
+def test_gate_channel_matches_kraus_construction_on_every_layer(t1_limited):
+    p = DeviceParams()
+    if t1_limited:
+        p = rb.decoherence_only_params(p, t1_limited=True)
+    layers = {layer for circuit in clifford_table().circuits
+              for layer in circuit}
+    assert len(layers) > 500
+    worst = max(
+        np.max(np.abs(device.gate_channel(layer, p)
+                      - _kraus_unitary_gate_channel(layer, p)))
+        for layer in layers
+    )
+    assert worst < 1e-12
 
 
 def test_gate_channel_noiseless_equals_exact_perm():

@@ -82,10 +82,23 @@ def test_interleaved_inversion_includes_gate(table):
 def test_sampling_is_deterministic_in_seed(table):
     cfg = _small_cfg()
     a = rb.sample_sequences(cfg, table)
+    rb._sample_families.cache_clear()  # draw again rather than recall
     b = rb.sample_sequences(cfg, table)
-    assert a == b
+    assert a == b and a is not b
     c = rb.sample_sequences(_small_cfg(seed=8), table)
     assert a != c
+
+
+def test_sampling_is_shared_across_campaigns(table):
+    cfg = _small_cfg(seed=19)
+    families = rb.sample_sequences(cfg, table)
+    assert isinstance(families, tuple)
+    assert all(isinstance(family, tuple) for family in families)
+    # shots do not enter the draw, so exact and sampled runs share it
+    assert rb.sample_sequences(_small_cfg(seed=19, shots=100), table) \
+        is families
+    gate = table.index_of(zx_perm())
+    assert rb.sample_sequences(cfg, table, interleaved=gate) != families
 
 
 # --- exact-mode simulation oracles -----------------------------------------
@@ -319,6 +332,24 @@ def test_csv_round_trip(tmp_path, table):
     before = rb.fit_dataset(standard)
     after = rb.fit_dataset(loaded["standard"])
     assert abs(before.alpha - after.alpha) < 1e-12
+
+
+def test_decay_csv_reader_rejects_incomplete_files(tmp_path, table):
+    cfg = rb.RBConfig(lengths=(1, 3, 7), n_sequences=4, shots=None, seed=5)
+    ds = rb.run_rb(cfg, table, rb.InjectedNoiseModel(
+        table, rb.depolarizing_ptm(0.96)))
+    path = tmp_path / "decays.csv"
+    rb.write_decay_csv(path, [ds])
+    lines = path.read_text().splitlines(keepends=True)
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text("".join(lines[:-2]))
+    with pytest.raises(ValueError, match=r"\(length, seq_index\) = \(7, 2\)"):
+        rb.read_decay_csv(truncated)
+    reseeded = tmp_path / "reseeded.csv"
+    reseeded.write_text("".join(lines[:-1])
+                        + lines[-1].replace("standard,5,", "standard,6,"))
+    with pytest.raises(ValueError, match="seed"):
+        rb.read_decay_csv(reseeded)
 
 
 def test_dataset_statistics():

@@ -143,3 +143,22 @@ def test_qpt_csv_round_trip(tmp_path, table):
     again = tomo.read_qpt_csv(path)
     assert again.shots is None
     np.testing.assert_array_equal(again.probabilities, exact.probabilities)
+
+
+def test_qpt_csv_reader_rejects_incomplete_files(tmp_path, table):
+    data = tomo.simulate_qpt(table.elements[31].to_ptm(), shots=1000, seed=9)
+    path = tmp_path / "qpt.csv"
+    tomo.write_qpt_csv(path, data)
+    lines = path.read_text().splitlines(keepends=True)
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text("".join(lines[:-50]))
+    # rows run prep fastest, then outcome, then meas: the last 50 rows
+    # are preps 22-35 of (meas 35, outcome 2) and all of outcome 3
+    with pytest.raises(ValueError, match=r"\(22, 35, 2\)"):
+        tomo.read_qpt_csv(truncated)
+    for column, edit in (("shots", (",1000,9", ",999,9")),
+                         ("seed", (",1000,9", ",1000,10"))):
+        doctored = tmp_path / f"{column}.csv"
+        doctored.write_text("".join(lines[:-1]) + lines[-1].replace(*edit))
+        with pytest.raises(ValueError, match=column):
+            tomo.read_qpt_csv(doctored)
