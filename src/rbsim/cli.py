@@ -99,8 +99,6 @@ def _profile(args) -> cfgmod.RunProfile:
     profile = cfgmod.load_profile(getattr(args, "config", None))
     if getattr(args, "seed", None) is not None:
         profile.seed = args.seed
-    if getattr(args, "threads", None) is not None:
-        profile.threads = args.threads
     if getattr(args, "lengths", None) is not None:
         profile.lengths = cfgmod.parse_lengths(args.lengths)
     if getattr(args, "sequences", None) is not None:
@@ -242,8 +240,7 @@ def cmd_rb_standard(args) -> int:
     profile = _profile(args)
     table = clifford_table()
     cfg = profile.rb_config()
-    ds = rb.run_rb(cfg, table, profile.noise(table), profile.spam,
-                   threads=profile.threads)
+    ds = rb.run_rb(cfg, table, profile.noise(table), profile.spam)
     result = rb.fit_dataset(ds)
     out = _out_dir(profile, args)
     if out is not None:
@@ -269,11 +266,10 @@ def cmd_rb_interleaved(args) -> int:
     noise = profile.noise(table)
     gate_index = table.index_of(_gate_element(profile.interleaved_gate))
     gate_circuit = (Layer("zx"),) if profile.bare_gate else None
-    reference = rb.run_rb(cfg, table, noise, profile.spam,
-                          threads=profile.threads)
+    reference = rb.run_rb(cfg, table, noise, profile.spam)
     interleaved = rb.run_interleaved(
         cfg, table, noise, gate_index, profile.spam,
-        gate_circuit=gate_circuit, threads=profile.threads,
+        gate_circuit=gate_circuit,
     )
     fit_ref = rb.fit_dataset(reference)
     fit_int = rb.fit_dataset(interleaved)
@@ -312,8 +308,7 @@ def cmd_rb_simultaneous(args) -> int:
     profile = _profile(args)
     table = clifford_table()
     cfg = profile.rb_config()
-    result = rb.run_simultaneous(cfg, profile.noise(table), profile.spam,
-                                 threads=profile.threads)
+    result = rb.run_simultaneous(cfg, profile.noise(table), profile.spam)
     delta, delta_sigma = result.delta_alpha()
     out = _out_dir(profile, args)
     if out is not None:
@@ -448,15 +443,10 @@ def cmd_sweep_tau2(args) -> int:
         # the two echo pulses' worth of decoherence in the layer.
         params = profile.device.with_calibration(max(float(tau2), 1e-9))
         noise = rb.DeviceNoiseModel(params, table)
-        result = rb.fit_dataset(
-            rb.run_rb(cfg, table, noise, profile.spam,
-                      threads=profile.threads)
-        )
-        r_limit_t2, limit_fit = rb.coherence_limit_r(
-            cfg, params, table, threads=profile.threads
-        )
+        result = rb.fit_dataset(rb.run_rb(cfg, table, noise, profile.spam))
+        r_limit_t2, limit_fit = rb.coherence_limit_r(cfg, params, table)
         r_limit_2t1, ceiling_fit = rb.coherence_limit_r(
-            cfg, params, table, t1_limited=True, threads=profile.threads
+            cfg, params, table, t1_limited=True
         )
         all_converged &= (result.converged and limit_fit.converged
                           and ceiling_fit.converged)
@@ -492,7 +482,6 @@ def _add_run_options(p, rb_options: bool = False) -> None:
     p.add_argument("--config", help="INI run profile")
     p.add_argument("--seed", type=int, help="campaign seed")
     p.add_argument("--out", help="directory for CSV/JSON artifacts")
-    p.add_argument("--threads", type=int, help="worker threads")
     if rb_options:
         p.add_argument("--exact", action="store_true",
                        help="exact probabilities instead of sampled shots")

@@ -23,7 +23,7 @@ class ConfigError(ValueError):
     """Malformed configuration file or option value."""
 
 
-_RUN_KEYS = {"seed", "out_dir", "threads"}
+_RUN_KEYS = {"seed", "out_dir"}
 _SPAM_KEYS = {"thermal_pop_1", "thermal_pop_2", "thermal", "misassignment"}
 _RB_KEYS = {
     "lengths", "sequences", "shots", "noise_model",
@@ -44,7 +44,6 @@ GATE_NAMES = ("zx", "cnot", "iswap", "swap")
 class RunProfile:
     seed: int = 1234
     out_dir: str | None = None
-    threads: int = 1
     device: dev.DeviceParams = field(default_factory=dev.DeviceParams)
     spam: dev.SpamModel = field(default_factory=dev.SpamModel.ideal)
     lengths: tuple[int, ...] = rb.DEFAULT_LENGTHS
@@ -149,7 +148,6 @@ def load_profile(path: str | None = None) -> RunProfile:
             _check_keys(sec, _RUN_KEYS, "run")
             profile.seed = sec.getint("seed", profile.seed)
             profile.out_dir = sec.get("out_dir", profile.out_dir)
-            profile.threads = sec.getint("threads", profile.threads)
 
         if cp.has_section("device"):
             sec = cp["device"]
@@ -233,8 +231,6 @@ def validate(profile: RunProfile) -> None:
         value = getattr(profile, name)
         if not 0.0 < value <= 1.0:
             raise ConfigError(f"{name} must lie in (0, 1], got {value}")
-    if profile.threads < 1:
-        raise ConfigError("threads must be at least 1")
     if profile.qpt_shots is not None and profile.qpt_shots < 1:
         raise ConfigError("qpt shots must be positive (or exact)")
     for name in ("rabi_points", "tau2_points"):

@@ -54,6 +54,12 @@ def decay_jacobian(lengths: np.ndarray, a: float, alpha: float) -> np.ndarray:
 def _initial_guess(lengths, means, b0):
     a0 = means[0] - b0
     shifted = means - b0
+    # Take the log-slope over the head of the decay only: up to the first
+    # point below 1/e of the first (at least 2 points).  A long flat tail
+    # is scatter around zero and would start the fit near alpha = 1.
+    below = np.flatnonzero(shifted < a0 / math.e)
+    head = max(int(below[0]) + 1, 2) if a0 > 0 and below.size else len(means)
+    lengths, shifted = lengths[:head], shifted[:head]
     usable = shifted > 1e-12
     if np.count_nonzero(usable) >= 2:
         slope = np.polyfit(lengths[usable], np.log(shifted[usable]), 1)[0]

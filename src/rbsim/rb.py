@@ -5,6 +5,14 @@ group inversion), noisy simulation in the Pauli-vector picture, and the
 campaign drivers for standard, interleaved, and simultaneous
 single-qubit protocols, plus CSV persistence of decay data.
 
+All three protocols run on one engine: the truncations of one random
+draw share its prefix, which is propagated once; each truncation is
+closed by its exact group inverse and read out through one or more rows
+over the outcome probabilities (p00, p01, p10, p11).  Simultaneous RB
+draws from the subgroup C1 x C1, which the table holds at indices
+24*i + j (i on qubit 1, j on qubit 2), so it needs nothing beyond the
+Clifford channels the other protocols use.
+
 Two noise models are provided: DeviceNoiseModel builds per-Clifford
 channels from circuit layers and the device's T1/T2 (the physical
 mode), and InjectedNoiseModel composes a fixed error channel with the
@@ -17,21 +25,13 @@ import csv
 import dataclasses
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import device as dev
 from . import fit, pauli
-from .cliffords import (
-    CliffordTable,
-    Circuit,
-    SignedPauliPerm,
-    c1_elements,
-    circuit_perm,
-    single_qubit_layer,
-)
+from .cliffords import CliffordTable, Circuit, SignedPauliPerm, circuit_perm
 
 DEFAULT_LENGTHS = tuple(range(1, 21))
 
@@ -116,7 +116,6 @@ class DeviceNoiseModel:
         self.params = params
         self.table = table
         self._cache: dict[int, np.ndarray] = {}
-        self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def circuit_channel(self, circuit: Circuit) -> np.ndarray:
         r = np.eye(16)
@@ -148,17 +147,8 @@ class DeviceNoiseModel:
 
     def pair_channel(self, i: int, j: int) -> np.ndarray:
         """Channel of simultaneous one-qubit Cliffords (i on qubit 1,
-        j on qubit 2) played as one zipped pulse layer."""
-        ch = self._pair_cache.get((i, j))
-        if ch is None:
-            _, words = c1_elements()
-            layer = single_qubit_layer(words[i], words[j])
-            if layer is None:
-                ch = np.eye(16)
-            else:
-                ch = dev.gate_channel(layer, self.params)
-            self._pair_cache[i, j] = ch
-        return ch
+        j on qubit 2): the table element 24*i + j."""
+        return self.clifford_channel(24 * i + j)
 
 
 class InjectedNoiseModel:
@@ -183,7 +173,6 @@ class InjectedNoiseModel:
         )
         self.noisy_inversion = noisy_inversion
         self._cache: dict[int, np.ndarray] = {}
-        self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def clifford_channel(self, index: int) -> np.ndarray:
         ch = self._cache.get(index)
@@ -205,18 +194,6 @@ class InjectedNoiseModel:
             return ideal
         return self.gate_noise @ ideal
 
-    def pair_channel(self, i: int, j: int) -> np.ndarray:
-        ch = self._pair_cache.get((i, j))
-        if ch is None:
-            c1, _ = c1_elements()
-            ch = self.noise @ c1[i].tensor(c1[j]).to_ptm()
-            self._pair_cache[i, j] = ch
-        return ch
-
-
-def ideal_noise_model(table: CliffordTable) -> InjectedNoiseModel:
-    return InjectedNoiseModel(table)
-
 
 # --- sequence sampling -----------------------------------------------------
 
@@ -224,27 +201,24 @@ def _family_rng(seed: int, family: int, stream: int = 0) -> np.random.Generator:
     """Derived generator keyed by (seed, family, stream).
 
     Stream 0 feeds sequence draws and stream 1 shot noise, so results
-    do not depend on worker scheduling or on whether sampling and
-    simulation happen in the same pass.
+    do not depend on whether sampling and simulation happen in the same
+    pass.
     """
     return np.random.default_rng(np.random.SeedSequence((seed, family, stream)))
 
 
-def sample_sequence_family(
+def _truncations(
     table: CliffordTable,
     lengths,
-    rng: np.random.Generator,
+    base: list[int],
     interleaved: int | None = None,
 ) -> list[RBSequence]:
     """Truncations of one base draw, with exact inversions.
 
-    All truncations share the prefix of a single uniform i.i.d. draw of
-    max(lengths) Cliffords; each truncation's closing gate is the exact
-    group inverse of everything before it (including any interleaved
-    gate repetitions).
+    All truncations share the prefix of ``base``; each truncation's
+    closing gate is the exact group inverse of everything before it
+    (including any interleaved gate repetitions).
     """
-    lengths = list(lengths)
-    base = rng.integers(0, len(table), size=lengths[-1]).tolist()
     out = []
     running = table.index_of(SignedPauliPerm.identity(2))
     done = 0
@@ -262,6 +236,18 @@ def sample_sequence_family(
             )
         )
     return out
+
+
+def sample_sequence_family(
+    table: CliffordTable,
+    lengths,
+    rng: np.random.Generator,
+    interleaved: int | None = None,
+) -> list[RBSequence]:
+    """Truncations of one uniform i.i.d. draw of max(lengths) Cliffords."""
+    lengths = list(lengths)
+    base = rng.integers(0, len(table), size=lengths[-1]).tolist()
+    return _truncations(table, lengths, base, interleaved)
 
 
 @functools.lru_cache(maxsize=16)
@@ -297,23 +283,11 @@ def sample_sequences(
 
 # --- simulation ------------------------------------------------------------
 
-def survival_probability(
-    seq: RBSequence,
-    noise,
-    spam: dev.SpamModel,
-) -> float:
-    """Exact probability of reading 00 after the sequence plus inversion."""
-    x = spam.initial_state()
-    gate_ch = None
-    if seq.interleaved is not None:
-        gate_ch = noise.interleaved_channel(seq.interleaved)
-    for k in seq.indices:
-        x = noise.clifford_channel(k) @ x
-        if gate_ch is not None:
-            x = gate_ch @ x
-    x = noise.inversion_channel(seq.inversion) @ x
-    probs = dev.apply_spam(pauli.outcome_probabilities(x), spam)
-    return float(probs[0])
+# readout rows over (p00, p01, p10, p11)
+_P00 = np.array([1.0, 0.0, 0.0, 0.0])      # two-qubit survival
+_OBS_Q1 = np.array([1.0, 1.0, 0.0, 0.0])   # qubit 1 ground
+_OBS_Q2 = np.array([1.0, 0.0, 1.0, 0.0])   # qubit 2 ground
+_OBS_PARITY = np.array([1.0, 0.0, 0.0, 1.0])
 
 
 def _family_survivals(
@@ -323,14 +297,19 @@ def _family_survivals(
     shots: int | None,
     rng: np.random.Generator,
     gate_circuit: Circuit | None,
+    readout: tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """Survival per truncation, propagating the shared prefix once."""
+    """Readout per truncation and row, propagating the shared prefix once.
+
+    Returns shape (len(family), len(readout)).  With shots, each entry
+    is one binomial draw, truncation by truncation and row by row.
+    """
     x = spam.initial_state()
     gate_ch = None
     if family[0].interleaved is not None:
         gate_ch = noise.interleaved_channel(family[0].interleaved, gate_circuit)
     done = 0
-    out = np.empty(len(family))
+    probs = np.empty((len(family), 4))
     for row, seq in enumerate(family):
         for k in seq.indices[done:]:
             x = noise.clifford_channel(k) @ x
@@ -338,29 +317,22 @@ def _family_survivals(
                 x = gate_ch @ x
         done = len(seq.indices)
         y = noise.inversion_channel(seq.inversion) @ x
-        probs = dev.apply_spam(pauli.outcome_probabilities(y), spam)
-        p = float(probs[0])
-        if shots is not None:
-            p = rng.binomial(shots, min(max(p, 0.0), 1.0)) / shots
-        out[row] = p
+        probs[row] = dev.apply_spam(pauli.outcome_probabilities(y), spam)
+    out = probs @ np.array(readout).T
+    if shots is not None:
+        out = rng.binomial(shots, np.clip(out, 0.0, 1.0)) / shots
     return out
 
 
-def _run_families(cfg, families, noise, spam, gate_circuit, threads):
-    def work(item):
-        fam_index, family = item
-        rng = _family_rng(cfg.seed, fam_index, stream=1)
-        return _family_survivals(
-            family, noise, spam, cfg.shots, rng, gate_circuit
-        )
-
-    items = list(enumerate(families))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(work, items))
-    else:
-        columns = [work(item) for item in items]
-    return np.stack(columns, axis=1)
+def _run_families(cfg, families, noise, spam, gate_circuit=None,
+                  readout=(_P00,)) -> np.ndarray:
+    """Readouts of every family, shape (lengths, rows, sequences)."""
+    return np.stack([
+        _family_survivals(family, noise, spam, cfg.shots,
+                          _family_rng(cfg.seed, fam, stream=1),
+                          gate_circuit, readout)
+        for fam, family in enumerate(families)
+    ], axis=2)
 
 
 def run_rb(
@@ -368,12 +340,11 @@ def run_rb(
     table: CliffordTable,
     noise,
     spam: dev.SpamModel | None = None,
-    threads: int = 1,
 ) -> DecayDataset:
     """Standard two-qubit RB campaign."""
     spam = spam or dev.SpamModel.ideal()
     families = sample_sequences(cfg, table)
-    survivals = _run_families(cfg, families, noise, spam, None, threads)
+    survivals = _run_families(cfg, families, noise, spam)[:, 0, :]
     return DecayDataset("standard", cfg.seed, tuple(cfg.lengths), survivals,
                         cfg.shots)
 
@@ -385,7 +356,6 @@ def run_interleaved(
     gate,
     spam: dev.SpamModel | None = None,
     gate_circuit: Circuit | None = None,
-    threads: int = 1,
 ) -> DecayDataset:
     """Interleaved campaign; ``gate`` is a table index, a signed
     permutation, or a unitary, and must be a Clifford group element."""
@@ -399,19 +369,19 @@ def run_interleaved(
         gate_index = table.index_of(gate)
     spam = spam or dev.SpamModel.ideal()
     families = sample_sequences(cfg, table, interleaved=gate_index)
-    survivals = _run_families(cfg, families, noise, spam, gate_circuit, threads)
+    survivals = _run_families(cfg, families, noise, spam, gate_circuit)[:, 0, :]
     return DecayDataset("interleaved", cfg.seed, tuple(cfg.lengths),
                         survivals, cfg.shots)
 
 
 # --- simultaneous single-qubit RB ------------------------------------------
 
-VARIANTS = ("q1", "q2", "both")
-
-# observable rows over (p00, p01, p10, p11): marginals and joint parity
-_OBS_Q1 = np.array([1.0, 1.0, 0.0, 0.0])   # qubit 1 ground
-_OBS_Q2 = np.array([1.0, 0.0, 1.0, 0.0])   # qubit 2 ground
-_OBS_PARITY = np.array([1.0, 0.0, 0.0, 1.0])
+# twirl variant -> (mask on the (qubit 1, qubit 2) draws, readout rows)
+_VARIANTS = {
+    "q1": ((1, 0), (_OBS_Q1,)),
+    "q2": ((0, 1), (_OBS_Q2,)),
+    "both": ((1, 1), (_OBS_Q1, _OBS_Q2, _OBS_PARITY)),
+}
 
 
 @dataclass
@@ -438,81 +408,31 @@ class SimultaneousResult:
         )
 
 
-def _sample_pair_family(lengths, rng, variant: str) -> np.ndarray:
-    n = lengths[-1]
-    draws = rng.integers(0, 24, size=(n, 2))
-    if variant == "q1":
-        draws[:, 1] = 0
-    elif variant == "q2":
-        draws[:, 0] = 0
-    return draws
-
-
-def _simultaneous_family(
-    lengths, draws, noise, spam, shots, rng, observables
-) -> np.ndarray:
-    c1, _ = c1_elements()
-    inv_lookup = {e.key: i for i, e in enumerate(c1)}
-    x = spam.initial_state()
-    acc1 = SignedPauliPerm.identity(1)
-    acc2 = SignedPauliPerm.identity(1)
-    done = 0
-    out = np.empty((len(lengths), len(observables)))
-    for row, target in enumerate(lengths):
-        for i, j in draws[done:target]:
-            x = noise.pair_channel(int(i), int(j)) @ x
-            acc1 = c1[i].compose(acc1)
-            acc2 = c1[j].compose(acc2)
-        done = target
-        inv1 = inv_lookup[acc1.inverse().key]
-        inv2 = inv_lookup[acc2.inverse().key]
-        y = noise.pair_channel(inv1, inv2) @ x
-        probs = dev.apply_spam(pauli.outcome_probabilities(y), spam)
-        for col, obs in enumerate(observables):
-            p = float(obs @ probs)
-            if shots is not None:
-                p = rng.binomial(shots, min(max(p, 0.0), 1.0)) / shots
-            out[row, col] = p
-    return out
-
-
 def run_simultaneous(
     cfg: RBConfig,
     noise,
     spam: dev.SpamModel | None = None,
-    threads: int = 1,
 ) -> SimultaneousResult:
     """All three simultaneous-RB variants on one config.
 
-    The noise model must provide pair_channel(i, j); the same seed is
-    reused per variant so the q1/q2 runs see the same random words as
-    the joint run's corresponding qubit.
+    Each step draws a pair (i, j) of one-qubit Cliffords, the table
+    element 24*i + j; the idle qubit's draw is zeroed (the identity)
+    in the one-qubit variants.  The same seed is reused per variant so
+    the q1/q2 runs see the same random words as the joint run's
+    corresponding qubit.  The table is the noise model's.
     """
     spam = spam or dev.SpamModel.ideal()
-    lengths = list(cfg.lengths)
-    plan = {
-        "q1": ("q1", (_OBS_Q1,)),
-        "q2": ("q2", (_OBS_Q2,)),
-        "both": ("both", (_OBS_Q1, _OBS_Q2, _OBS_PARITY)),
-    }
     stacks: dict[str, np.ndarray] = {}
-    for variant, (tag, observables) in plan.items():
-        def work(fam):
-            draws = _sample_pair_family(
-                lengths, _family_rng(cfg.seed, fam), variant
-            )
-            shot_rng = _family_rng(cfg.seed, fam, stream=1)
-            return _simultaneous_family(
-                lengths, draws, noise, spam, cfg.shots, shot_rng, observables
-            )
-
-        fams = range(cfg.n_sequences)
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                blocks = list(pool.map(work, fams))
-        else:
-            blocks = [work(f) for f in fams]
-        stacks[variant] = np.stack(blocks, axis=2)  # (lengths, obs, seq)
+    for variant, (mask, readout) in _VARIANTS.items():
+        families = []
+        for fam in range(cfg.n_sequences):
+            draws = _family_rng(cfg.seed, fam).integers(
+                0, 24, size=(cfg.lengths[-1], 2)) * mask
+            base = (24 * draws[:, 0] + draws[:, 1]).tolist()
+            families.append(tuple(_truncations(noise.table, cfg.lengths,
+                                               base)))
+        stacks[variant] = _run_families(cfg, families, noise, spam,
+                                        readout=readout)
 
     def dataset(tag, block):
         return DecayDataset(tag, cfg.seed, tuple(cfg.lengths), block, cfg.shots)
@@ -565,7 +485,6 @@ def coherence_limit_r(
     params: dev.DeviceParams,
     table: CliffordTable,
     t1_limited: bool = False,
-    threads: int = 1,
 ) -> tuple[float, fit.FitResult]:
     """Error per Clifford of exact-probability RB under decoherence alone.
 
@@ -580,7 +499,7 @@ def coherence_limit_r(
     limit = DeviceNoiseModel(decoherence_only_params(params, t1_limited),
                              table)
     exact_cfg = dataclasses.replace(cfg, shots=None)
-    result = fit_dataset(run_rb(exact_cfg, table, limit, threads=threads))
+    result = fit_dataset(run_rb(exact_cfg, table, limit))
     return fit.error_per_clifford(result.alpha), result
 
 

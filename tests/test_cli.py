@@ -246,8 +246,7 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
 
 def test_flags_are_validated_like_config_values(capsys):
     cases = [
-        (("rb", "standard", "--threads", "-3", "--lengths", "1-4",
-          "--sequences", "2"), "threads"),
+        (("rb", "standard", "--sequences", "0"), "sequence"),
         (("qpt", "--shots", "-5"), "shots"),
         (("sweep", "tau2", "--points", "1"), "tau2_points"),
         (("sweep", "cr-rabi", "--points", "0"), "rabi_points"),

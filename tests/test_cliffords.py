@@ -177,6 +177,17 @@ def test_inverse_indices():
         assert table.elements[i].compose(inv) == ident
 
 
+def test_pair_subgroup_layout():
+    """Indices 24*i + j hold c1[i] (x) c1[j] and the subgroup is closed
+    under inversion: simultaneous RB samples and inverts inside it."""
+    table = clifford_table()
+    c1, _ = c1_elements()
+    for i in range(24):
+        for j in range(24):
+            assert table.elements[24 * i + j] == c1[i].tensor(c1[j])
+    assert np.all(table.inverse_indices[:576] < 576)
+
+
 def test_circuits_reproduce_elements_sample():
     table = clifford_table()
     rng = np.random.default_rng(17)

@@ -27,7 +27,6 @@ def test_full_profile(tmp_path):
 [run]
 seed = 77
 out_dir = artifacts
-threads = 2
 
 [device]
 t1_1_us = 20.0
@@ -59,7 +58,6 @@ tau2_points = 5
     profile = cfg.load_profile(path)
     assert profile.seed == 77
     assert profile.out_dir == "artifacts"
-    assert profile.threads == 2
     assert profile.device.t1_1_us == 20.0
     assert profile.device.cr_mu == 0.04
     assert profile.device.t1_2_us == 9.1  # untouched default
@@ -116,7 +114,7 @@ def test_parse_lengths():
     "[device]\nt2_1_us = 100.0\n",
     "[spam]\nmisassignment = -0.5\n",
     "[qpt]\ntarget = hadamard\n",
-    "[run]\nthreads = 0\n",
+    "[run]\nthreads = 2\n",
     "[sweep]\ntau2_points = 1\n",
     "[rb]\ninterleaved_gate = swap\nbare_gate = true\n",
 ])

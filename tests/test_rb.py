@@ -103,29 +103,32 @@ def test_sampling_is_shared_across_campaigns(table):
 
 # --- exact-mode simulation oracles -----------------------------------------
 
+def _assert_cells(survivals, expected):
+    """Every (length, sequence) cell against a per-length closed form."""
+    np.testing.assert_allclose(
+        survivals, np.broadcast_to(expected, survivals.shape),
+        rtol=0, atol=1e-12,
+    )
+
+
 def test_noiseless_survival_is_one(table):
-    noise = rb.ideal_noise_model(table)
-    rng = np.random.default_rng(2)
-    for seq in rb.sample_sequence_family(table, (1, 5, 12), rng):
-        assert rb.survival_probability(seq, noise, dev.SpamModel.ideal()) == \
-            pytest.approx(1.0, abs=1e-12)
+    cfg = _small_cfg(lengths=(1, 5, 12), seed=2)
+    ds = rb.run_rb(cfg, table, rb.InjectedNoiseModel(table))
+    _assert_cells(ds.survivals, 1.0)
 
 
 def test_depolarizing_closed_form(table):
     p = 0.9
-    spam = dev.SpamModel.ideal()
+    cfg = _small_cfg(lengths=(1, 2, 3, 5), seed=9)
+    m = np.array(cfg.lengths)[:, None]
     clean_inv = rb.InjectedNoiseModel(
         table, rb.depolarizing_ptm(p), noisy_inversion=False
     )
     noisy_inv = rb.InjectedNoiseModel(table, rb.depolarizing_ptm(p))
-    rng = np.random.default_rng(9)
-    family = rb.sample_sequence_family(table, (1, 2, 3, 5), rng)
-    for seq in family:
-        i = len(seq.indices)
-        got = rb.survival_probability(seq, clean_inv, spam)
-        assert got == pytest.approx(0.25 + 0.75 * p**i, abs=1e-12)
-        got = rb.survival_probability(seq, noisy_inv, spam)
-        assert got == pytest.approx(0.25 + 0.75 * p ** (i + 1), abs=1e-12)
+    _assert_cells(rb.run_rb(cfg, table, clean_inv).survivals,
+                  0.25 + 0.75 * p**m)
+    _assert_cells(rb.run_rb(cfg, table, noisy_inv).survivals,
+                  0.25 + 0.75 * p ** (m + 1))
 
 
 def test_fitted_alpha_matches_depolarizing_p(table):
@@ -190,14 +193,6 @@ def test_shot_sampling_statistics(table):
     assert np.all(np.abs(ds.means() - exact) < 5 * sigma + 1e-12)
 
 
-def test_runs_are_schedule_independent(table):
-    cfg = rb.RBConfig(lengths=(1, 2, 4), n_sequences=6, shots=200, seed=17)
-    noise = rb.InjectedNoiseModel(table, rb.depolarizing_ptm(0.97))
-    serial = rb.run_rb(cfg, table, noise)
-    threaded = rb.run_rb(cfg, table, noise, threads=4)
-    np.testing.assert_array_equal(serial.survivals, threaded.survivals)
-
-
 def test_device_noise_model_matches_layerwise_product(table):
     params = dev.DeviceParams()
     noise = rb.DeviceNoiseModel(params, table)
@@ -229,7 +224,7 @@ def test_interleaved_depolarizing_oracle(table):
 
 def test_interleaved_gate_forms(table):
     cfg = rb.RBConfig(lengths=(1, 2), n_sequences=2, shots=None, seed=3)
-    noise = rb.ideal_noise_model(table)
+    noise = rb.InjectedNoiseModel(table)
     by_index = rb.run_interleaved(cfg, table, noise, table.index_of(zx_perm()))
     by_perm = rb.run_interleaved(cfg, table, noise, zx_perm())
     by_unitary = rb.run_interleaved(cfg, table, noise, np.asarray(ZX_UNITARY))
@@ -239,7 +234,7 @@ def test_interleaved_gate_forms(table):
 
 def test_interleaved_rejects_non_clifford(table):
     cfg = rb.RBConfig(lengths=(1, 2), n_sequences=1, shots=None, seed=3)
-    noise = rb.ideal_noise_model(table)
+    noise = rb.InjectedNoiseModel(table)
     t_gate = np.kron(np.diag([1.0, np.exp(1j * np.pi / 4)]), np.eye(2))
     with pytest.raises(ValueError):
         rb.run_interleaved(cfg, table, noise, t_gate)
@@ -284,6 +279,22 @@ def test_simultaneous_product_depolarizing(table):
     assert abs(delta) < 1e-9
 
 
+def test_simultaneous_honours_clean_inversion(table):
+    """Under kron(D(p1), D(p2)) qubit 1's marginal survival is
+    0.5 + 0.5 * p1**m, with one more factor of p1 when the closing gate
+    is noisy too."""
+    p1, p2 = 0.97, 0.99
+    channel = np.kron(rb.depolarizing_ptm(p1, 1), rb.depolarizing_ptm(p2, 1))
+    cfg = _small_cfg(seed=29)
+    m = np.array(cfg.lengths)[:, None]
+    for noisy_inversion, extra in ((False, 0), (True, 1)):
+        noise = rb.InjectedNoiseModel(table, channel,
+                                      noisy_inversion=noisy_inversion)
+        result = rb.run_simultaneous(cfg, noise)
+        _assert_cells(result.datasets["joint_q1"].survivals,
+                      0.5 + 0.5 * p1 ** (m + extra))
+
+
 def test_simultaneous_correlated_depolarizing(table):
     """Global (correlated) depolarizing decays every Pauli by the same
     factor c, so the parity exceeds the product: delta = c - c**2."""
@@ -307,6 +318,20 @@ def test_simultaneous_device_noise_runs(table):
     for f in result.fits.values():
         assert f.converged
         assert 0.9 < f.alpha < 1.0
+
+
+def test_long_campaigns_converge(table):
+    """Lengths out to 200 put most points on the flat tail; the fit's
+    start must come from the head of the decay (these seeds once ended
+    unconverged near alpha = 1, or converged to alpha ~ 2e-5)."""
+    noise = rb.DeviceNoiseModel(dev.DeviceParams(), table)
+    for seed in (6, 11, 32):
+        cfg = rb.RBConfig(lengths=tuple(range(1, 201)), n_sequences=100,
+                          seed=seed)
+        result = rb.fit_dataset(rb.run_rb(cfg, table, noise))
+        assert result.converged, seed
+        assert 0.8 < result.alpha < 0.9, seed
+        assert result.chi2_red < 2, seed
 
 
 # --- persistence ------------------------------------------------------------
