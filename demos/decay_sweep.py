@@ -20,12 +20,11 @@ cfg = rb.RBConfig(lengths=tuple(range(1, 17)), n_sequences=12,
 print("tau2/ns  gate/ns      r   [2T1 limit, T2 limit]")
 for tau2 in (1e-9, 100.0, 178.0, 260.0, 340.0):
     params = base.with_calibration(tau2)
-    result = rb.fit_dataset(
-        rb.run_rb(cfg, table, rb.DeviceNoiseModel(params, table))
-    )
+    noise = rb.DeviceNoiseModel(params, table)
+    result = rb.fit_dataset(rb.run_rb(cfg, table, noise))
     r = fit.error_per_clifford(result.alpha)
-    r_t2, _ = rb.coherence_limit_r(cfg, params, table)
-    r_2t1, _ = rb.coherence_limit_r(cfg, params, table, t1_limited=True)
+    r_t2, _ = rb.coherence_limit_r(cfg, noise)
+    r_2t1, _ = rb.coherence_limit_r(cfg, noise, t1_limited=True)
     print(f"  {tau2:5.0f}  {params.zx_gate_ns:7.0f}  {r:.4f}   "
           f"[{r_2t1:.4f}, {r_t2:.4f}]")
 

@@ -35,8 +35,8 @@ for length, mean in zip(cfg.lengths[::4], means[::4]):
 # where does that error sit relative to pure decoherence?  The limit
 # curves rerun the same sequences with every coherent imperfection
 # stripped, once at the measured T2 and once at the 2*T1 ceiling.
-r_t2, _ = rb.coherence_limit_r(cfg, params, table)
-r_2t1, _ = rb.coherence_limit_r(cfg, params, table, t1_limited=True)
+r_t2, _ = rb.coherence_limit_r(cfg, noise)
+r_2t1, _ = rb.coherence_limit_r(cfg, noise, t1_limited=True)
 print(f"\ncoherence band: [{r_2t1:.4f}, {r_t2:.4f}]")
 print(f"mean Clifford duration "
       f"{rb.mean_clifford_duration_ns(params, table):.0f} ns")

@@ -38,8 +38,9 @@ from .cliffords import (
     SWAP,
     Layer,
     SignedPauliPerm,
-    circuit_perm,
     clifford_table,
+    compose_rows,
+    fold_circuits,
     group_stats,
     zx_perm,
 )
@@ -171,51 +172,62 @@ def cmd_group_stats(args) -> int:
 def cmd_group_verify(args) -> int:
     profile = _profile(args)
     table = clifford_table()
-    elements = list(table.elements)
+    n = len(table)
+    perm, sign = table.perm_array, table.sign_array
     if args.corrupt_element is not None:
         k = args.corrupt_element
-        if not 0 <= k < len(elements):
+        if not 0 <= k < n:
             raise CliError("corrupt-element index out of range")
-        sign = list(elements[k].sign)
-        sign[1] = -sign[1]
-        elements[k] = SignedPauliPerm(elements[k].perm, tuple(sign))
+        sign = sign.copy()
+        sign[k, 1] = -sign[k, 1]
 
+    # The checks run on all elements at once.  As in a pass over the
+    # elements in order, the lowest failing element is reported, with
+    # the first of its checks that fails.
+    folded_perm, folded_sign = fold_circuits(table.circuits)
+    n_zx = np.array([sum(1 for layer in circuit if layer.kind == "zx")
+                     for circuit in table.circuits])
+    inv = table.inverse_indices
+    closed_perm, closed_sign = compose_rows(perm[inv], sign[inv], perm, sign)
+    checks = (
+        (np.any(folded_perm != perm, axis=1)
+         | np.any(folded_sign != sign, axis=1),
+         "circuit does not recompose to the element"),
+        # class c costs exactly c entangling layers
+        (n_zx != table.class_ids,
+         "entangling-layer count does not match class"),
+        (np.any(closed_perm != np.arange(16), axis=1)
+         | np.any(closed_sign != 1, axis=1),
+         "stored inverse does not invert the element"),
+    )
+    failed = np.stack([mask for mask, _ in checks], axis=1)
+    failing = np.flatnonzero(failed.any(axis=1))
     failure = None
-    expected_entanglers = {0: 0, 1: 1, 2: 2, 3: 3}
-    census = [0, 0, 0, 0]
-    identity = SignedPauliPerm.identity(2)
-    for i, elem in enumerate(elements):
-        census[table.class_ids[i]] += 1
-        if circuit_perm(table.circuits[i]) != elem:
-            failure = (i, "circuit does not recompose to the element")
-            break
-        n_zx = sum(1 for layer in table.circuits[i] if layer.kind == "zx")
-        if n_zx != expected_entanglers[table.class_ids[i]]:
-            failure = (i, "entangling-layer count does not match class")
-            break
-        if elements[table.inverse_indices[i]].compose(elem) != identity:
-            failure = (i, "stored inverse does not invert the element")
-            break
+    checked = n
+    if failing.size:
+        i = int(failing[0])
+        failure = (i, checks[int(np.argmax(failed[i]))][1])
+        checked = i + 1
+    census = np.bincount(table.class_ids[:checked], minlength=4).tolist()
 
-    closure_failures = 0
     if failure is None:
         if census != [576, 5184, 5184, 576]:
             failure = (-1, f"class census {census} is wrong")
     if failure is None:
         rng = np.random.default_rng(profile.seed)
-        pairs = rng.integers(0, len(elements), size=(args.closure_samples, 2))
-        for a, b in pairs:
-            product = elements[a].compose(elements[b])
-            if not table.contains(product):
-                closure_failures += 1
-                failure = (int(a), f"product with element {int(b)} "
-                           "left the group")
-                break
+        pairs = rng.integers(0, n, size=(args.closure_samples, 2))
+        a, b = pairs[:, 0], pairs[:, 1]
+        outside = np.flatnonzero(
+            table.find(*compose_rows(perm[a], sign[a], perm[b], sign[b])) < 0)
+        if outside.size:
+            j = outside[0]
+            failure = (int(a[j]), f"product with element {int(b[j])} "
+                       "left the group")
 
     summary = {
         "command": "group verify",
         "seed": profile.seed,
-        "n_elements": len(elements),
+        "n_elements": n,
         "class_sizes": dict(zip(CLASS_NAMES, census)),
         "closure_samples": args.closure_samples,
         "passed": failure is None,
@@ -224,7 +236,7 @@ def cmd_group_verify(args) -> int:
         index, reason = failure
         summary["failed_element"] = index
         summary["reason"] = reason
-        if 0 <= index < len(elements):
+        if 0 <= index < n:
             summary["element_class"] = CLASS_NAMES[table.class_ids[index]]
     _emit(summary, _out_dir(profile, args), "group_verify")
     if failure is not None:
@@ -345,7 +357,7 @@ def cmd_qpt(args) -> int:
         index = table.index_of(SignedPauliPerm.identity(2))
     else:
         index = table.index_of(_gate_element(profile.qpt_target))
-    ideal = table.elements[index].to_ptm()
+    ideal = table.ptm(index)
     if profile.noise_model == "device":
         channel = rb.DeviceNoiseModel(profile.device, table) \
             .clifford_channel(index)
@@ -444,9 +456,9 @@ def cmd_sweep_tau2(args) -> int:
         params = profile.device.with_calibration(max(float(tau2), 1e-9))
         noise = rb.DeviceNoiseModel(params, table)
         result = rb.fit_dataset(rb.run_rb(cfg, table, noise, profile.spam))
-        r_limit_t2, limit_fit = rb.coherence_limit_r(cfg, params, table)
+        r_limit_t2, limit_fit = rb.coherence_limit_r(cfg, noise)
         r_limit_2t1, ceiling_fit = rb.coherence_limit_r(
-            cfg, params, table, t1_limited=True
+            cfg, noise, t1_limited=True
         )
         all_converged &= (result.converged and limit_fit.converged
                           and ceiling_fit.converged)

@@ -21,7 +21,9 @@ cost:
 from __future__ import annotations
 
 import functools
+import operator
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,65 +249,163 @@ def s1_elements() -> tuple[SignedPauliPerm, SignedPauliPerm, SignedPauliPerm]:
     return (SignedPauliPerm.identity(1), s, s.compose(s))
 
 
+# --- integer arithmetic on (perm, sign) rows -------------------------------
+#
+# Arrays of elements are kept as a perm row and a sign row per element
+# (the fields of SignedPauliPerm).  "a after b" is then two gathers,
+# perm = a.perm[b.perm] and sign = b.sign * a.sign[b.perm], broadcast
+# over any leading axes.
+
+# IX, IZ, XI, ZI: their images fix a Clifford channel (every other label
+# is a product of them), so a signed image each, 5 bits (label 1..15 and
+# a sign bit), makes a 20-bit key that tells group elements apart.
+_KEY_LABELS = np.array([1, 3, 4, 12])
+_KEY_WEIGHTS = 1 << (5 * np.arange(4, dtype=np.int64))
+
+
+def compose_rows(a_perm, a_sign, b_perm, b_sign):
+    """(perm, sign) rows of a after b, over matching leading axes."""
+    perm = np.take_along_axis(a_perm, b_perm, axis=-1)
+    return perm, b_sign * np.take_along_axis(a_sign, b_perm, axis=-1)
+
+
+def _inverse(perm, sign):
+    inv = np.argsort(perm, axis=-1)
+    return inv, np.take_along_axis(sign, inv, axis=-1)
+
+
+def _image_keys(perm, sign):
+    """Keys from the signed images of the key labels (last axis, 4)."""
+    return (2 * perm.astype(np.int64) + (sign < 0)) @ _KEY_WEIGHTS
+
+
+def _keys(perm, sign):
+    return _image_keys(perm[..., _KEY_LABELS], sign[..., _KEY_LABELS])
+
+
+def _stack(elems) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) arrays of a sequence of SignedPauliPerm."""
+    return (np.array([e.perm for e in elems], dtype=np.intp),
+            np.array([e.sign for e in elems], dtype=np.int8))
+
+
+class _KeyIndex:
+    """Index lookup in a set of group elements by their sorted keys."""
+
+    def __init__(self, perm: np.ndarray, sign: np.ndarray):
+        keys = _keys(perm, sign)
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+        self._perm = perm
+        self._sign = sign
+
+    def has_duplicates(self) -> bool:
+        return bool(np.any(self._keys[1:] == self._keys[:-1]))
+
+    def locate(self, keys) -> np.ndarray:
+        """Indices of keys known to belong to members of the set."""
+        return self._order[np.searchsorted(self._keys, keys)]
+
+    def find(self, perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
+        """Index of each (perm, sign) row, or -1 where the row is not a
+        member; rows are compared in full, so any signed permutation
+        may be looked up."""
+        keys = _keys(perm, sign)
+        pos = np.minimum(np.searchsorted(self._keys, keys),
+                         len(self._keys) - 1)
+        index = self._order[pos]
+        hit = ((self._keys[pos] == keys)
+               & np.all(self._perm[index] == perm, axis=-1)
+               & np.all(self._sign[index] == sign, axis=-1))
+        return np.where(hit, index, -1)
+
+
+class _ElementView(Sequence):
+    """Read-only sequence of a table's elements, each made on access as a
+    validated SignedPauliPerm from its array rows."""
+
+    def __init__(self, perm: np.ndarray, sign: np.ndarray):
+        self._perm = perm
+        self._sign = sign
+
+    def __len__(self) -> int:
+        return len(self._perm)
+
+    def __getitem__(self, index) -> SignedPauliPerm:
+        k = operator.index(index)
+        return SignedPauliPerm(tuple(self._perm[k].tolist()),
+                               tuple(self._sign[k].tolist()))
+
+
 class CliffordTable:
     """The full two-qubit Clifford group, indexed, with circuits.
 
     Attributes
     ----------
-    elements : list of SignedPauliPerm, length 11520
-    circuits : list of Circuit, aligned with ``elements``
+    perm_array, sign_array : (11520, 16) int arrays, the elements: row k
+        maps Pauli label j to sign_array[k, j] times label
+        perm_array[k, j]; like the other arrays here, read-only
+    elements : read-only sequence of SignedPauliPerm, made from those rows
+        on access
+    circuits : list of Circuit, aligned with the rows
     class_ids : int array, 0..3 per element (see CLASS_NAMES)
-    perm_array, sign_array : (11520, 16) int arrays for fast twirling
+    inverse_indices : int array, index of each element's inverse
     """
 
     def __init__(self):
         c1, c1_words = c1_elements()
         s1 = s1_elements()
-        w1 = {e.key: w for e, w in zip(c1, c1_words)}
+        c1_index = {e.key: i for i, e in enumerate(c1)}
+        # one shared Layer per pair of words (None for two empty words)
+        pair_layers = [[single_qubit_layer(wa, wb) for wb in c1_words]
+                       for wa in c1_words]
+
+        def pair_layer(a: SignedPauliPerm, b: SignedPauliPerm) -> Layer | None:
+            return pair_layers[c1_index[a.key]][c1_index[b.key]]
+
+        # Class-1 products: row 24*i + j is c1[i] (x) c1[j].
+        c1_perm, c1_sign = _stack(c1)
+        pair_perm = (4 * c1_perm[:, None, :, None]
+                     + c1_perm[None, :, None, :]).reshape(576, 16)
+        pair_sign = (c1_sign[:, None, :, None]
+                     * c1_sign[None, :, None, :]).reshape(576, 16)
+        class1 = _KeyIndex(pair_perm, pair_sign)
 
         cnot_perm = SignedPauliPerm.from_unitary(CNOT)
         iswap_perm = SignedPauliPerm.from_unitary(ISWAP)
         swap_perm = SignedPauliPerm.from_unitary(SWAP)
         zx = zx_perm()
 
-        # Class-1 products and a factor lookup used by the core search.
-        pair_of: dict[tuple, tuple[SignedPauliPerm, SignedPauliPerm]] = {}
-        class1: list[SignedPauliPerm] = []
-        for a in c1:
-            for b in c1:
-                ab = a.tensor(b)
-                pair_of[ab.key] = (a, b)
-                class1.append(ab)
-
         # CNOT = (post1 x post2) . ZX exactly (up to global phase).
         cnot_post = cnot_perm.compose(zx.inverse())
-        if cnot_post.key not in pair_of:
+        post = int(class1.find(*_stack([cnot_post]))[0])
+        if post < 0:
             raise RuntimeError("CNOT correction layer is not single-qubit")
-        cnot_post_pair = pair_of[cnot_post.key]
+        cnot_post_pair = (c1[post // 24], c1[post % 24])
 
         # iSWAP = (post1 x post2) . ZX . M . ZX . (pre1 x pre2) for some
         # class-1 middle M and an S-pair pre-layer; the first match in
-        # enumeration order keeps the build deterministic.
-        iswap_middle = None
-        iswap_post_pair = None
-        iswap_pre = None
-        for m in class1:
-            tot_inv = zx.compose(m.compose(zx)).inverse()
-            for pa in s1:
-                for pb in s1:
-                    pre = pa.tensor(pb)
-                    cand = iswap_perm.compose(pre.inverse()).compose(tot_inv)
-                    if cand.key in pair_of:
-                        iswap_middle = m
-                        iswap_post_pair = pair_of[cand.key]
-                        iswap_pre = (pa, pb)
-                        break
-                if iswap_middle is not None:
-                    break
-            if iswap_middle is not None:
-                break
-        if iswap_middle is None:
+        # enumeration order (M, then pre1, then pre2) keeps the build
+        # deterministic.  All 576 x 9 candidates are tried at once.
+        zx_rows = _stack([zx])
+        core_p, core_s = _inverse(*compose_rows(
+            *zx_rows, *compose_rows(pair_perm, pair_sign, *zx_rows)))
+        s_pairs = [(pa, pb) for pa in s1 for pb in s1]
+        left_p, left_s = compose_rows(
+            *_stack([iswap_perm]),
+            *_inverse(*_stack([pa.tensor(pb) for pa, pb in s_pairs])))
+        # (576, 9) candidates: iSWAP . pre^-1 . (ZX . M . ZX)^-1
+        hits = class1.find(*compose_rows(
+            left_p[None], left_s[None], core_p[:, None], core_s[:, None]
+        )).ravel()
+        first = np.flatnonzero(hits >= 0)
+        if first.size == 0:
             raise RuntimeError("no two-entangler decomposition of iSWAP found")
+        m, s = divmod(int(first[0]), len(s_pairs))
+        post = int(hits[first[0]])
+        iswap_post_pair = (c1[post // 24], c1[post % 24])
+        iswap_pre = s_pairs[s]
+        iswap_middle_layer = pair_layers[m // 24][m % 24]
 
         # SWAP from the textbook three-CNOT identity: with
         # CNOT = P.ZX and the reversed CNOT = (HxH).CNOT.(HxH),
@@ -321,37 +421,31 @@ class CliffordTable:
         )
         if check.key != swap_perm.key:
             raise RuntimeError("three-entangler SWAP identity failed to verify")
-        swap_middle_words = (w1[h.compose(p1).key], w1[h.compose(p2).key])
-        iswap_middle_pair = pair_of[iswap_middle.key]
-        iswap_middle_words = (
-            w1[iswap_middle_pair[0].key],
-            w1[iswap_middle_pair[1].key],
-        )
-
-        elements: list[SignedPauliPerm] = []
-        circuits: list[Circuit] = []
-        class_ids: list[int] = []
-        index: dict[tuple, int] = {}
-
-        def add(elem: SignedPauliPerm, circuit: Circuit, cls: int) -> None:
-            if elem.key in index:
-                raise RuntimeError("duplicate element during group build")
-            index[elem.key] = len(elements)
-            elements.append(elem)
-            circuits.append(circuit)
-            class_ids.append(cls)
+        swap_middle_layer = pair_layer(h.compose(p1), h.compose(p2))
 
         def layers(*maybe: Layer | None) -> Circuit:
             return tuple(l for l in maybe if l is not None)
 
-        zx_layer = Layer("zx")
+        def post_layers(post_pair) -> list[Layer | None]:
+            """Post layer of (A x B) . core for every (A, B) in class-1
+            order: the core's post corrections absorbed into A and B."""
+            qa = [c1_index[a.compose(post_pair[0]).key] for a in c1]
+            qb = [c1_index[b.compose(post_pair[1]).key] for b in c1]
+            return [pair_layers[i][j] for i in qa for j in qb]
 
-        # class 1: A x B
-        for a in c1:
-            wa = w1[a.key]
-            for b in c1:
-                elem = a.tensor(b)
-                add(elem, layers(single_qubit_layer(wa, w1[b.key])), 0)
+        zx_layer = Layer("zx")
+        blocks = [(pair_perm, pair_sign)]
+        circuits: list[Circuit] = [layers(l) for row in pair_layers
+                                   for l in row]
+        class_ids = [0] * 576
+
+        def add_block(right: SignedPauliPerm, head: tuple, posts, cls: int):
+            """(A x B) . right for every class-1 (A, B), in class-1 order."""
+            blocks.append(compose_rows(pair_perm, pair_sign, *_stack([right])))
+            head = layers(*head)
+            circuits.extend(head if post is None else head + (post,)
+                            for post in posts)
+            class_ids.extend([cls] * 576)
 
         # classes 2 and 3: (A x B) . core . (sa x sb).  The circuit
         # absorbs the core's own pre-layer (an S-pair) into the sampled
@@ -359,78 +453,113 @@ class CliffordTable:
         ident1 = SignedPauliPerm.identity(1)
         for core_perm, cls, post_pair, middles, core_pre in (
             (cnot_perm, 1, cnot_post_pair, (), (ident1, ident1)),
-            (iswap_perm, 2, iswap_post_pair, (iswap_middle_words,), iswap_pre),
+            (iswap_perm, 2, iswap_post_pair, (iswap_middle_layer,), iswap_pre),
         ):
+            posts = post_layers(post_pair)
             for sa in s1:
                 for sb in s1:
-                    pre = single_qubit_layer(
-                        w1[core_pre[0].compose(sa).key],
-                        w1[core_pre[1].compose(sb).key],
-                    )
-                    right = core_perm.compose(sa.tensor(sb))
-                    for a in c1:
-                        pa = a.compose(post_pair[0])
-                        for b in c1:
-                            pb = b.compose(post_pair[1])
-                            elem = a.tensor(b).compose(right)
-                            body: list[Layer | None] = [pre, zx_layer]
-                            for mw in middles:
-                                body += [single_qubit_layer(*mw), zx_layer]
-                            body.append(
-                                single_qubit_layer(w1[pa.key], w1[pb.key])
-                            )
-                            add(elem, layers(*body), cls)
+                    pre = pair_layer(core_pre[0].compose(sa),
+                                     core_pre[1].compose(sb))
+                    head = (pre, zx_layer)
+                    for middle in middles:
+                        head += (middle, zx_layer)
+                    add_block(core_perm.compose(sa.tensor(sb)), head, posts,
+                              cls)
 
         # class 4: (A x B) . SWAP
-        for a in c1:
-            pa = w1[a.compose(p1).key]
-            for b in c1:
-                pb = w1[b.compose(p2).key]
-                elem = a.tensor(b).compose(swap_perm)
-                circuit = layers(
-                    zx_layer,
-                    single_qubit_layer(*swap_middle_words),
-                    zx_layer,
-                    single_qubit_layer(*swap_middle_words),
-                    zx_layer,
-                    single_qubit_layer(pa, pb),
-                )
-                add(elem, circuit, 3)
+        add_block(swap_perm, (zx_layer, swap_middle_layer, zx_layer,
+                              swap_middle_layer, zx_layer),
+                  post_layers(cnot_post_pair), 3)
 
-        if len(elements) != 11520:
-            raise RuntimeError(f"group build produced {len(elements)} elements")
+        perm = np.concatenate([p for p, _ in blocks])
+        sign = np.concatenate([s for _, s in blocks])
+        self._index = _KeyIndex(perm, sign)
+        if self._index.has_duplicates():
+            raise RuntimeError("duplicate element during group build")
+        if len(perm) != 11520:
+            raise RuntimeError(f"group build produced {len(perm)} elements")
 
-        self.elements = elements
+        self.perm_array = perm
+        self.sign_array = sign
+        self.elements = _ElementView(perm, sign)
         self.circuits = circuits
         self.class_ids = np.array(class_ids, dtype=np.int8)
-        self._index = index
-        self.perm_array = np.array([e.perm for e in elements], dtype=np.intp)
-        self.sign_array = np.array([e.sign for e in elements], dtype=np.int8)
-        self.inverse_indices = np.array(
-            [index[e.inverse().key] for e in elements], dtype=np.intp
-        )
+        self.inverse_indices = self._index.locate(
+            _keys(*_inverse(perm, sign)))
+        # the arrays are the elements, shared by every user of the table
+        for array in (perm, sign, self.class_ids, self.inverse_indices):
+            array.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.perm_array)
+
+    def find(self, perm, sign) -> np.ndarray:
+        """Table index of each (perm, sign) row, -1 for non-members."""
+        return self._index.find(np.asarray(perm), np.asarray(sign))
+
+    def _position(self, elem: SignedPauliPerm) -> int:
+        if len(elem.perm) != 16:
+            return -1
+        return int(self.find(*_stack([elem]))[0])
 
     def index_of(self, elem: SignedPauliPerm) -> int:
         """Table index of an element; ValueError if not a group member."""
-        try:
-            return self._index[elem.key]
-        except KeyError:
-            raise ValueError("element is not in the two-qubit Clifford group") from None
+        k = self._position(elem)
+        if k < 0:
+            raise ValueError("element is not in the two-qubit Clifford group")
+        return k
 
     def contains(self, elem: SignedPauliPerm) -> bool:
-        return elem.key in self._index
+        return self._position(elem) >= 0
 
-    def compose_indices(self, second: int, first: int) -> int:
-        return self._index[self.elements[second].compose(self.elements[first]).key]
+    def compose_indices(self, second, first):
+        """Index of element ``second`` after element ``first``; both may
+        be int arrays of one shape (an int for two ints).  Only the key
+        labels' images are composed."""
+        images = self.perm_array[first][..., _KEY_LABELS]
+        outer = np.asarray(second)[..., None]
+        keys = _image_keys(
+            self.perm_array[outer, images],
+            self.sign_array[first][..., _KEY_LABELS]
+            * self.sign_array[outer, images],
+        )
+        found = self._index.locate(keys)
+        return int(found) if found.ndim == 0 else found
+
+    def ptm(self, index: int) -> np.ndarray:
+        """Ideal transfer matrix of element ``index``."""
+        r = np.zeros((16, 16))
+        r[self.perm_array[index], np.arange(16)] = self.sign_array[index]
+        return r
 
     def decompose(self, target: SignedPauliPerm | np.ndarray) -> Circuit:
         """Circuit of a group element given as a perm or a unitary."""
         if isinstance(target, np.ndarray):
             target = SignedPauliPerm.from_unitary(target)
         return self.circuits[self.index_of(target)]
+
+
+def fold_circuits(circuits) -> tuple[np.ndarray, np.ndarray]:
+    """Exact channels of many circuits as (perm, sign) rows.
+
+    Each distinct layer's signed permutation is made once, and the fold
+    takes one gather per layer position: the vectorised counterpart of
+    :func:`circuit_perm`.
+    """
+    rows = {}  # Layer -> row of the layer arrays; row 0 is the identity
+    depth = max(map(len, circuits), default=0)
+    ids = np.zeros((len(circuits), depth), dtype=np.intp)
+    for i, circuit in enumerate(circuits):
+        ids[i, :len(circuit)] = [rows.setdefault(layer, len(rows) + 1)
+                                 for layer in circuit]
+    layer_perm, layer_sign = _stack(
+        [SignedPauliPerm.identity(2), *(layer.perm() for layer in rows)])
+    perm = np.broadcast_to(np.arange(16), (len(circuits), 16))
+    sign = np.ones((len(circuits), 16), dtype=np.int8)
+    for column in ids.T:
+        perm, sign = compose_rows(layer_perm[column], layer_sign[column],
+                                  perm, sign)
+    return perm, sign
 
 
 @functools.lru_cache(maxsize=None)

@@ -118,10 +118,15 @@ class DeviceNoiseModel:
         self._cache: dict[int, np.ndarray] = {}
 
     def circuit_channel(self, circuit: Circuit) -> np.ndarray:
-        r = np.eye(16)
-        for layer in circuit:
+        if not circuit:
+            return np.eye(16)
+        r = dev.gate_channel(circuit[0], self.params)
+        for layer in circuit[1:]:
             r = dev.gate_channel(layer, self.params) @ r
-        return r
+        # A one-layer circuit gets a C-ordered copy of the cached,
+        # read-only layer channel, like every product; adding +0.0 turns
+        # its -0.0 entries into +0.0, as a product with np.eye(16) would.
+        return r if len(circuit) > 1 else np.add(r, 0.0, order="C")
 
     def clifford_channel(self, index: int) -> np.ndarray:
         ch = self._cache.get(index)
@@ -177,19 +182,19 @@ class InjectedNoiseModel:
     def clifford_channel(self, index: int) -> np.ndarray:
         ch = self._cache.get(index)
         if ch is None:
-            ch = self.noise @ self.table.elements[index].to_ptm()
+            ch = self.noise @ self.table.ptm(index)
             self._cache[index] = ch
         return ch
 
     def inversion_channel(self, index: int) -> np.ndarray:
         if self.noisy_inversion:
             return self.clifford_channel(index)
-        return self.table.elements[index].to_ptm()
+        return self.table.ptm(index)
 
     def interleaved_channel(
         self, index: int, circuit: Circuit | None = None
     ) -> np.ndarray:
-        ideal = self.table.elements[index].to_ptm()
+        ideal = self.table.ptm(index)
         if self.gate_noise is None:
             return ideal
         return self.gate_noise @ ideal
@@ -210,32 +215,33 @@ def _family_rng(seed: int, family: int, stream: int = 0) -> np.random.Generator:
 def _truncations(
     table: CliffordTable,
     lengths,
-    base: list[int],
+    bases: np.ndarray,
     interleaved: int | None = None,
-) -> list[RBSequence]:
-    """Truncations of one base draw, with exact inversions.
+) -> list[tuple[RBSequence, ...]]:
+    """Truncations of each row of ``bases`` (one family's draw of
+    max(lengths) table indices per row), with exact inversions.
 
-    All truncations share the prefix of ``base``; each truncation's
-    closing gate is the exact group inverse of everything before it
-    (including any interleaved gate repetitions).
+    All truncations of a family share the prefix of its draw; each
+    truncation's closing gate is the exact group inverse of everything
+    before it (including any interleaved gate repetitions).  The
+    running products of all families advance together, one composition
+    per step.
     """
-    out = []
-    running = table.index_of(SignedPauliPerm.identity(2))
+    steps = (bases if interleaved is None
+             else table.compose_indices(interleaved, bases))
+    running = np.full(len(bases), table.index_of(SignedPauliPerm.identity(2)))
+    inversions = np.empty((len(bases), len(lengths)), dtype=np.intp)
     done = 0
-    for target in lengths:
-        for k in base[done:target]:
-            running = table.compose_indices(k, running)
-            if interleaved is not None:
-                running = table.compose_indices(interleaved, running)
+    for col, target in enumerate(lengths):
+        for t in range(done, target):
+            running = table.compose_indices(steps[:, t], running)
         done = target
-        out.append(
-            RBSequence(
-                indices=tuple(base[:target]),
-                inversion=int(table.inverse_indices[running]),
-                interleaved=interleaved,
-            )
-        )
-    return out
+        inversions[:, col] = table.inverse_indices[running]
+    return [
+        tuple(RBSequence(tuple(draw[:target]), inv, interleaved)
+              for target, inv in zip(lengths, invs))
+        for draw, invs in zip(bases.tolist(), inversions.tolist())
+    ]
 
 
 def sample_sequence_family(
@@ -246,8 +252,8 @@ def sample_sequence_family(
 ) -> list[RBSequence]:
     """Truncations of one uniform i.i.d. draw of max(lengths) Cliffords."""
     lengths = list(lengths)
-    base = rng.integers(0, len(table), size=lengths[-1]).tolist()
-    return _truncations(table, lengths, base, interleaved)
+    base = rng.integers(0, len(table), size=lengths[-1])
+    return list(_truncations(table, lengths, base[None], interleaved)[0])
 
 
 @functools.lru_cache(maxsize=16)
@@ -258,12 +264,11 @@ def _sample_families(
     seed: int,
     interleaved: int | None,
 ) -> tuple[tuple[RBSequence, ...], ...]:
-    return tuple(
-        tuple(sample_sequence_family(
-            table, lengths, _family_rng(seed, fam), interleaved
-        ))
+    bases = np.stack([
+        _family_rng(seed, fam).integers(0, len(table), size=lengths[-1])
         for fam in range(n_sequences)
-    )
+    ])
+    return tuple(_truncations(table, lengths, bases, interleaved))
 
 
 def sample_sequences(
@@ -424,13 +429,13 @@ def run_simultaneous(
     spam = spam or dev.SpamModel.ideal()
     stacks: dict[str, np.ndarray] = {}
     for variant, (mask, readout) in _VARIANTS.items():
-        families = []
-        for fam in range(cfg.n_sequences):
-            draws = _family_rng(cfg.seed, fam).integers(
+        draws = np.stack([
+            _family_rng(cfg.seed, fam).integers(
                 0, 24, size=(cfg.lengths[-1], 2)) * mask
-            base = (24 * draws[:, 0] + draws[:, 1]).tolist()
-            families.append(tuple(_truncations(noise.table, cfg.lengths,
-                                               base)))
+            for fam in range(cfg.n_sequences)
+        ])
+        families = _truncations(noise.table, cfg.lengths,
+                                24 * draws[..., 0] + draws[..., 1])
         stacks[variant] = _run_families(cfg, families, noise, spam,
                                         readout=readout)
 
@@ -482,11 +487,11 @@ def decoherence_only_params(params: dev.DeviceParams,
 
 def coherence_limit_r(
     cfg: RBConfig,
-    params: dev.DeviceParams,
-    table: CliffordTable,
+    noise: DeviceNoiseModel,
     t1_limited: bool = False,
 ) -> tuple[float, fit.FitResult]:
-    """Error per Clifford of exact-probability RB under decoherence alone.
+    """Error per Clifford of exact-probability RB under decoherence alone,
+    for the device of ``noise``.
 
     A closed-form estimate (decay of the transfer-matrix trace over the
     mean circuit duration) is systematically low here: the random frame
@@ -495,11 +500,16 @@ def coherence_limit_r(
     static block of the same length.  Running the actual protocol with
     the stripped-down noise model keeps the limit curve consistent with
     what the simulator reports for a coherently perfect device.
+
+    When stripping changes nothing (a calibrated device without residual
+    drive terms, at the measured T2), ``noise`` itself is reused with
+    the channels it has already built.
     """
-    limit = DeviceNoiseModel(decoherence_only_params(params, t1_limited),
-                             table)
+    params = decoherence_only_params(noise.params, t1_limited)
+    limit = (noise if params == noise.params
+             else DeviceNoiseModel(params, noise.table))
     exact_cfg = dataclasses.replace(cfg, shots=None)
-    result = fit_dataset(run_rb(exact_cfg, table, limit))
+    result = fit_dataset(run_rb(exact_cfg, noise.table, limit))
     return fit.error_per_clifford(result.alpha), result
 
 

@@ -198,8 +198,8 @@ def test_device_error_lands_inside_the_coherence_band(capsys):
 
     exact = rb.fit_dataset(rb.run_rb(cfg, table, noise))
     r_exact = fit.error_per_clifford(exact.alpha)
-    r_ceiling, _ = rb.coherence_limit_r(cfg, params, table)
-    r_floor, _ = rb.coherence_limit_r(cfg, params, table, t1_limited=True)
+    r_ceiling, _ = rb.coherence_limit_r(cfg, noise)
+    r_floor, _ = rb.coherence_limit_r(cfg, noise, t1_limited=True)
 
     sampled = rb.fit_dataset(
         rb.run_rb(dataclasses.replace(cfg, shots=1000), table, noise)

@@ -68,6 +68,24 @@ def test_group_verify_reports_injected_defect(capsys):
     assert "7000" in err
 
 
+@pytest.mark.parametrize("corrupt, failed, reason", [
+    (7000, 7000, "circuit does not recompose to the element"),
+    (0, 0, "circuit does not recompose to the element"),
+    # element 11469's stored inverse is 11519, and 11469 is checked first
+    (11519, 11469, "stored inverse does not invert the element"),
+])
+def test_group_verify_reports_first_failure(capsys, corrupt, failed, reason):
+    code, summary, err = run_cli(
+        capsys, "group", "verify", "--corrupt-element", str(corrupt),
+    )
+    assert code == 1
+    assert summary["failed_element"] == failed
+    assert summary["reason"] == reason
+    assert f"element {failed}: {reason}" in err
+    # the census counts the elements checked, the failing one included
+    assert sum(summary["class_sizes"].values()) == failed + 1
+
+
 def test_rb_standard_depolarizing(capsys, tmp_path, depol_config):
     out = tmp_path / "artifacts"
     code, summary, _ = run_cli(

@@ -5,10 +5,12 @@ path (multiply matrices, then extract the transfer permutation), which
 was itself validated against a plain trace-formula oracle.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from rbsim import pauli
+from rbsim import pauli, rb
 from rbsim.cliffords import (
     CNOT,
     SignedPauliPerm,
@@ -23,6 +25,7 @@ from rbsim.cliffords import (
     word_perm,
     zx_perm,
     ZX_UNITARY,
+    _keys,
 )
 
 
@@ -80,6 +83,9 @@ def test_to_ptm_is_transfer_matrix():
     np.testing.assert_allclose(
         x.to_ptm(), pauli.unitary_to_ptm(gate_unitary("X90")), atol=1e-12
     )
+    table = clifford_table()
+    for k in (0, 1, 577, 6000, 11519):
+        np.testing.assert_array_equal(table.ptm(k), table.elements[k].to_ptm())
 
 
 def test_from_unitary_rejects_non_clifford():
@@ -152,6 +158,59 @@ def test_group_census():
     assert stats.max_word_length <= 3
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_table_and_sampling_match_reference_hashes():
+    """Reference sha256 values of the table and of the default
+    campaign's families, computed with an element-by-element
+    construction from SignedPauliPerm objects: the array build and the
+    array sampling reproduce it exactly."""
+    table = clifford_table()
+    got = {
+        "perm": _sha256(table.perm_array.astype(np.int64).tobytes()),
+        "sign": _sha256(table.sign_array.astype(np.int8).tobytes()),
+        "class": _sha256(table.class_ids.astype(np.int8).tobytes()),
+        "inverse": _sha256(table.inverse_indices.astype(np.int64).tobytes()),
+        "circuits": _sha256(repr(table.circuits).encode()),
+        "families": _sha256(
+            repr(rb.sample_sequences(rb.RBConfig(), table)).encode()),
+    }
+    assert got == {
+        "perm": "c8fa8c9d202201e215e45eb17f67d820"
+                "f9283fc0c580406235dc9a47922ed7a2",
+        "sign": "531e04be74e92b7d4df6d905432dcd53"
+                "5ba606e5f2297bef4da826ab22fedc2b",
+        "class": "05260ccec8331c302ff8791bd359702e"
+                 "763a93490b132959c87ebc5f1a2ad9ea",
+        "inverse": "53c7e8c0ca4716db2e584984abb83d6a"
+                   "6b7bf7417799721816f14f5b2341506c",
+        "circuits": "1d1d4587cba3f982f108577bf468b611"
+                    "43256e3e184b1995728863da7e33e335",
+        "families": "5855f85c6e6a3cc7b4356fff7350e84e"
+                    "037fd23aad93086e4f65c7ced706f27a",
+    }
+
+
+def test_generator_image_keys_identify_elements():
+    table = clifford_table()
+    keys = _keys(table.perm_array, table.sign_array)
+    assert len(np.unique(keys)) == len(table) == 11520
+    assert np.all(keys < 2**20)
+    np.testing.assert_array_equal(
+        table.find(table.perm_array, table.sign_array), np.arange(len(table)))
+    # a signed permutation with a member's key but other rows is no member
+    fake = SignedPauliPerm(
+        tuple(range(16)), tuple(1 if i != 5 else -1 for i in range(16))
+    )
+    assert _keys(np.array(fake.perm), np.array(fake.sign)) == keys[0]
+    assert not table.contains(fake)
+    with pytest.raises(ValueError):
+        table.index_of(fake)
+    assert not table.contains(SignedPauliPerm.identity(1))
+
+
 def test_identity_element_has_empty_circuit():
     table = clifford_table()
     i = table.index_of(SignedPauliPerm.identity(2))
@@ -162,10 +221,15 @@ def test_identity_element_has_empty_circuit():
 def test_group_closure_sample():
     table = clifford_table()
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        i, j = rng.integers(0, len(table), size=2)
+    pairs = rng.integers(0, len(table), size=(1000, 2))
+    for i, j in pairs:
         k = table.compose_indices(int(i), int(j))
         assert table.elements[k] == table.elements[i].compose(table.elements[j])
+    # the array form composes all pairs at once, to the same indices
+    np.testing.assert_array_equal(
+        table.compose_indices(pairs[:, 0], pairs[:, 1]),
+        [table.compose_indices(int(i), int(j)) for i, j in pairs],
+    )
 
 
 def test_inverse_indices():

@@ -204,6 +204,36 @@ def test_device_noise_model_matches_layerwise_product(table):
     assert noise.clifford_channel(idx) is noise.clifford_channel(idx)
 
 
+def test_circuit_channel_equals_identity_started_product(table):
+    """Starting from the first layer rather than np.eye(16) changes no
+    bit: empty, one-layer (class 1) and longer circuits."""
+    params = dev.DeviceParams().with_calibration()
+    noise = rb.DeviceNoiseModel(params, table)
+    for idx in (0, 1, 300, 575, 576, 4321, 11519):
+        expected = np.eye(16)
+        for layer in table.circuits[idx]:
+            expected = dev.gate_channel(layer, params) @ expected
+        got = noise.clifford_channel(idx)
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.c_contiguous and got.flags.writeable
+
+
+def test_coherence_limit_reuses_an_unchanged_model(table):
+    cfg = _small_cfg(n_sequences=3)
+    params = dev.DeviceParams().with_calibration()
+    assert rb.decoherence_only_params(params) == params
+    for t1_limited in (False, True):
+        noise = rb.DeviceNoiseModel(params, table)
+        r, result = rb.coherence_limit_r(cfg, noise, t1_limited=t1_limited)
+        fresh = rb.DeviceNoiseModel(
+            rb.decoherence_only_params(params, t1_limited), table)
+        expected = rb.fit_dataset(rb.run_rb(cfg, table, fresh))
+        assert result == expected
+        assert r == fit.error_per_clifford(expected.alpha)
+        # only the unchanged (measured-T2) limit runs on noise's channels
+        assert bool(noise._cache) is not t1_limited
+
+
 # --- interleaved ------------------------------------------------------------
 
 def test_interleaved_depolarizing_oracle(table):
