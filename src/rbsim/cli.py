@@ -36,12 +36,15 @@ from .cliffords import (
     CNOT,
     ISWAP,
     SWAP,
+    ZX_LAYER_ID,
     Layer,
     SignedPauliPerm,
+    c1_elements,
     clifford_table,
     compose_rows,
-    fold_circuits,
+    fold_layer_ids,
     group_stats,
+    single_qubit_layer,
     zx_perm,
 )
 
@@ -169,6 +172,27 @@ def cmd_group_stats(args) -> int:
     return EXIT_OK
 
 
+def _undecoded(ids, layers, table) -> np.ndarray:
+    """Mask of the elements whose row of layer ids (padded with trailing
+    zeros) does not decode to their circuit under ``layers``.
+
+    Rows are decoded with the table's own Layer objects, which compare
+    by identity; those are checked against ``layers`` by value.
+    """
+    wrong = np.array([a != b for a, b in zip(layers, table.layers)])
+    shared = np.empty(len(layers), dtype=object)
+    shared[:] = table.layers
+    mask = wrong[ids].any(axis=1)
+    depth = np.count_nonzero(ids, axis=1)
+    for d in range(ids.shape[1] + 1):
+        rows = np.flatnonzero(depth == d)
+        decoded = (zip(*(shared[ids[rows, c]] for c in range(d))) if d
+                   else [()] * len(rows))
+        mask[rows] |= [t != table.circuits[k]
+                       for k, t in zip(rows.tolist(), decoded)]
+    return mask
+
+
 def cmd_group_verify(args) -> int:
     profile = _profile(args)
     table = clifford_table()
@@ -183,13 +207,22 @@ def cmd_group_verify(args) -> int:
 
     # The checks run on all elements at once.  As in a pass over the
     # elements in order, the lowest failing element is reported, with
-    # the first of its checks that fails.
-    folded_perm, folded_sign = fold_circuits(table.circuits)
-    n_zx = np.array([sum(1 for layer in circuit if layer.kind == "zx")
-                     for circuit in table.circuits])
+    # the first of its checks that fails.  Each layer id's Layer and
+    # exact action are made here from the pulse words, and the circuits
+    # are folded from their layer ids.
+    _, words = c1_elements()
+    layers = [single_qubit_layer(wa, wb) for wa in words for wb in words]
+    layers.append(Layer("zx"))
+    ids = table.layer_ids
+    folded_perm, folded_sign = fold_layer_ids(
+        ids, [SignedPauliPerm.identity(2)]
+        + [layer.perm() for layer in layers[1:]])
+    n_zx = np.count_nonzero(ids == ZX_LAYER_ID, axis=1)
     inv = table.inverse_indices
     closed_perm, closed_sign = compose_rows(perm[inv], sign[inv], perm, sign)
     checks = (
+        (_undecoded(ids, layers, table),
+         "layer ids do not decode to the circuit"),
         (np.any(folded_perm != perm, axis=1)
          | np.any(folded_sign != sign, axis=1),
          "circuit does not recompose to the element"),

@@ -190,6 +190,12 @@ class Layer:
 
 Circuit = tuple[Layer, ...]
 
+# Layer ids, as in CliffordTable.layer_ids: 24*i + j is the pulse layer
+# of one-qubit words i and j (id 0, two empty words, is no layer), and
+# ZX_LAYER_ID the entangling layer.  A circuit has at most MAX_LAYERS.
+ZX_LAYER_ID = 576
+MAX_LAYERS = 6
+
 
 def single_qubit_layer(word1: tuple[str, ...], word2: tuple[str, ...]) -> Layer | None:
     """Zip two pulse words into one layer; None if both are empty."""
@@ -348,6 +354,11 @@ class CliffordTable:
     elements : read-only sequence of SignedPauliPerm, made from those rows
         on access
     circuits : list of Circuit, aligned with the rows
+    layer_ids : (11520, MAX_LAYERS) int16 array, the circuits as layer ids
+        in time order, padded with 0 (no layer).  The pulse layer of
+        words i and j has id 24*i + j, which is also the table row of
+        its exact element; ZX_LAYER_ID is the entangling layer
+    layers : tuple of the Layer of each id, None for id 0
     class_ids : int array, 0..3 per element (see CLASS_NAMES)
     inverse_indices : int array, index of each element's inverse
     """
@@ -356,12 +367,12 @@ class CliffordTable:
         c1, c1_words = c1_elements()
         s1 = s1_elements()
         c1_index = {e.key: i for i, e in enumerate(c1)}
-        # one shared Layer per pair of words (None for two empty words)
-        pair_layers = [[single_qubit_layer(wa, wb) for wb in c1_words]
-                       for wa in c1_words]
+        # one shared Layer per layer id; id 0, two empty words, is None
+        layers = (*(single_qubit_layer(wa, wb) for wa in c1_words
+                    for wb in c1_words), Layer("zx"))
 
-        def pair_layer(a: SignedPauliPerm, b: SignedPauliPerm) -> Layer | None:
-            return pair_layers[c1_index[a.key]][c1_index[b.key]]
+        def pair_id(a: SignedPauliPerm, b: SignedPauliPerm) -> int:
+            return 24 * c1_index[a.key] + c1_index[b.key]
 
         # Class-1 products: row 24*i + j is c1[i] (x) c1[j].
         c1_perm, c1_sign = _stack(c1)
@@ -405,7 +416,6 @@ class CliffordTable:
         post = int(hits[first[0]])
         iswap_post_pair = (c1[post // 24], c1[post % 24])
         iswap_pre = s_pairs[s]
-        iswap_middle_layer = pair_layers[m // 24][m % 24]
 
         # SWAP from the textbook three-CNOT identity: with
         # CNOT = P.ZX and the reversed CNOT = (HxH).CNOT.(HxH),
@@ -421,30 +431,34 @@ class CliffordTable:
         )
         if check.key != swap_perm.key:
             raise RuntimeError("three-entangler SWAP identity failed to verify")
-        swap_middle_layer = pair_layer(h.compose(p1), h.compose(p2))
+        swap_middle = pair_id(h.compose(p1), h.compose(p2))
 
-        def layers(*maybe: Layer | None) -> Circuit:
-            return tuple(l for l in maybe if l is not None)
-
-        def post_layers(post_pair) -> list[Layer | None]:
+        def post_ids(post_pair) -> np.ndarray:
             """Post layer of (A x B) . core for every (A, B) in class-1
             order: the core's post corrections absorbed into A and B."""
-            qa = [c1_index[a.compose(post_pair[0]).key] for a in c1]
-            qb = [c1_index[b.compose(post_pair[1]).key] for b in c1]
-            return [pair_layers[i][j] for i in qa for j in qb]
+            qa = np.array([c1_index[a.compose(post_pair[0]).key] for a in c1])
+            qb = np.array([c1_index[b.compose(post_pair[1]).key] for b in c1])
+            return (24 * qa[:, None] + qb[None, :]).ravel()
 
-        zx_layer = Layer("zx")
         blocks = [(pair_perm, pair_sign)]
-        circuits: list[Circuit] = [layers(l) for row in pair_layers
-                                   for l in row]
+        circuits: list[Circuit] = [() if l is None else (l,)
+                                   for l in layers[:ZX_LAYER_ID]]
+        id_blocks = [np.arange(576)[:, None]]
         class_ids = [0] * 576
 
         def add_block(right: SignedPauliPerm, head: tuple, posts, cls: int):
-            """(A x B) . right for every class-1 (A, B), in class-1 order."""
+            """(A x B) . right for every class-1 (A, B), in class-1 order.
+            ``head`` and ``posts`` are layer ids; 0 (no layer) is dropped
+            from the head and ends the circuit as a post."""
             blocks.append(compose_rows(pair_perm, pair_sign, *_stack([right])))
-            head = layers(*head)
-            circuits.extend(head if post is None else head + (post,)
-                            for post in posts)
+            head = [i for i in head if i]
+            head_layers = tuple(layers[i] for i in head)
+            circuits.extend(head_layers + (layers[i],) if i else head_layers
+                            for i in posts.tolist())
+            ids = np.empty((576, len(head) + 1), dtype=np.intp)
+            ids[:, :-1] = head
+            ids[:, -1] = posts
+            id_blocks.append(ids)
             class_ids.extend([cls] * 576)
 
         # classes 2 and 3: (A x B) . core . (sa x sb).  The circuit
@@ -453,23 +467,23 @@ class CliffordTable:
         ident1 = SignedPauliPerm.identity(1)
         for core_perm, cls, post_pair, middles, core_pre in (
             (cnot_perm, 1, cnot_post_pair, (), (ident1, ident1)),
-            (iswap_perm, 2, iswap_post_pair, (iswap_middle_layer,), iswap_pre),
+            (iswap_perm, 2, iswap_post_pair, (m,), iswap_pre),
         ):
-            posts = post_layers(post_pair)
+            posts = post_ids(post_pair)
             for sa in s1:
                 for sb in s1:
-                    pre = pair_layer(core_pre[0].compose(sa),
-                                     core_pre[1].compose(sb))
-                    head = (pre, zx_layer)
+                    pre = pair_id(core_pre[0].compose(sa),
+                                  core_pre[1].compose(sb))
+                    head = (pre, ZX_LAYER_ID)
                     for middle in middles:
-                        head += (middle, zx_layer)
+                        head += (middle, ZX_LAYER_ID)
                     add_block(core_perm.compose(sa.tensor(sb)), head, posts,
                               cls)
 
         # class 4: (A x B) . SWAP
-        add_block(swap_perm, (zx_layer, swap_middle_layer, zx_layer,
-                              swap_middle_layer, zx_layer),
-                  post_layers(cnot_post_pair), 3)
+        add_block(swap_perm, (ZX_LAYER_ID, swap_middle, ZX_LAYER_ID,
+                              swap_middle, ZX_LAYER_ID),
+                  post_ids(cnot_post_pair), 3)
 
         perm = np.concatenate([p for p, _ in blocks])
         sign = np.concatenate([s for _, s in blocks])
@@ -483,11 +497,18 @@ class CliffordTable:
         self.sign_array = sign
         self.elements = _ElementView(perm, sign)
         self.circuits = circuits
+        self.layers = layers
+        self.layer_ids = np.zeros((len(perm), MAX_LAYERS), dtype=np.int16)
+        start = 0
+        for ids in id_blocks:
+            self.layer_ids[start:start + len(ids), :ids.shape[1]] = ids
+            start += len(ids)
         self.class_ids = np.array(class_ids, dtype=np.int8)
         self.inverse_indices = self._index.locate(
             _keys(*_inverse(perm, sign)))
         # the arrays are the elements, shared by every user of the table
-        for array in (perm, sign, self.class_ids, self.inverse_indices):
+        for array in (perm, sign, self.layer_ids, self.class_ids,
+                      self.inverse_indices):
             array.setflags(write=False)
 
     def __len__(self) -> int:
@@ -526,10 +547,13 @@ class CliffordTable:
         found = self._index.locate(keys)
         return int(found) if found.ndim == 0 else found
 
-    def ptm(self, index: int) -> np.ndarray:
-        """Ideal transfer matrix of element ``index``."""
-        r = np.zeros((16, 16))
-        r[self.perm_array[index], np.arange(16)] = self.sign_array[index]
+    def ptm(self, index) -> np.ndarray:
+        """Ideal transfer matrix of element ``index``; for an int array
+        of indices, one matrix per index (shape ``index.shape + (16, 16)``)."""
+        perm = self.perm_array[index][..., None, :]
+        r = np.zeros(perm.shape[:-2] + (16, 16))
+        np.put_along_axis(r, perm, self.sign_array[index][..., None, :],
+                          axis=-2)
         return r
 
     def decompose(self, target: SignedPauliPerm | np.ndarray) -> Circuit:
@@ -539,24 +563,18 @@ class CliffordTable:
         return self.circuits[self.index_of(target)]
 
 
-def fold_circuits(circuits) -> tuple[np.ndarray, np.ndarray]:
-    """Exact channels of many circuits as (perm, sign) rows.
-
-    Each distinct layer's signed permutation is made once, and the fold
-    takes one gather per layer position: the vectorised counterpart of
-    :func:`circuit_perm`.
+def fold_layer_ids(layer_ids, layer_elements: Sequence[SignedPauliPerm]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact channels of circuits given as layer ids (time order, one
+    row per circuit) as (perm, sign) rows; ``layer_elements[i]`` is the
+    action of layer id i.  The fold takes one gather per layer position:
+    the vectorised counterpart of :func:`circuit_perm`.
     """
-    rows = {}  # Layer -> row of the layer arrays; row 0 is the identity
-    depth = max(map(len, circuits), default=0)
-    ids = np.zeros((len(circuits), depth), dtype=np.intp)
-    for i, circuit in enumerate(circuits):
-        ids[i, :len(circuit)] = [rows.setdefault(layer, len(rows) + 1)
-                                 for layer in circuit]
-    layer_perm, layer_sign = _stack(
-        [SignedPauliPerm.identity(2), *(layer.perm() for layer in rows)])
-    perm = np.broadcast_to(np.arange(16), (len(circuits), 16))
-    sign = np.ones((len(circuits), 16), dtype=np.int8)
-    for column in ids.T:
+    layer_ids = np.asarray(layer_ids)
+    layer_perm, layer_sign = _stack(layer_elements)
+    perm = np.broadcast_to(np.arange(16), (len(layer_ids), 16))
+    sign = np.ones((len(layer_ids), 16), dtype=np.int8)
+    for column in layer_ids.T:
         perm, sign = compose_rows(layer_perm[column], layer_sign[column],
                                   perm, sign)
     return perm, sign

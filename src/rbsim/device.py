@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pauli
-from .cliffords import Layer, gate_unitary
+from .cliffords import ZX_LAYER_ID, CliffordTable, Layer, gate_unitary
 
 IX = np.kron(pauli.I2, pauli.SIGMA_X)
 ZX = np.kron(pauli.SIGMA_Z, pauli.SIGMA_X)
@@ -333,6 +333,40 @@ def gate_channel(layer: Layer, p: DeviceParams) -> np.ndarray:
         noisy = decay[:, perm] * sign
     noisy.setflags(write=False)
     return noisy
+
+
+# layers gathered at a time, which keeps the gather's temporary small
+_LAYER_BLOCK = 64
+
+
+def layer_channels(p: DeviceParams, table: CliffordTable) -> np.ndarray:
+    """Noisy transfer matrices of every layer id of ``table``, stacked.
+
+    Row i is :func:`gate_channel` of ``table.layers[i]``, bit for bit;
+    row 0 (no layer) is the identity.  A pulse layer's exact action is
+    table row i, so the pulse rows are gathers from the decoherence
+    part of each pulse-slot count, columns permuted and signed by those
+    rows.  Only the entangling layer goes through :func:`gate_channel`.
+    The stack is read-only.
+    """
+    pulses = table.layers[:ZX_LAYER_ID]
+    slots = np.array([0 if layer is None else layer.n_slots
+                      for layer in pulses])
+    decays = np.stack([
+        decoherence_ptm(p.t1_1_us, p.t2_1_us, p.t1_2_us, p.t2_2_us,
+                        n * p.t_single_ns)
+        for n in range(slots.max() + 1)
+    ])
+    rows = np.arange(16)[None, :, None]
+    stack = np.empty((ZX_LAYER_ID + 1, 16, 16))
+    for start in range(0, ZX_LAYER_ID, _LAYER_BLOCK):
+        ids = slice(start, min(start + _LAYER_BLOCK, ZX_LAYER_ID))
+        np.multiply(decays[slots[ids, None, None], rows,
+                           table.perm_array[ids, None, :]],
+                    table.sign_array[ids, None, :], out=stack[ids])
+    stack[ZX_LAYER_ID] = gate_channel(Layer("zx"), p)
+    stack.setflags(write=False)
+    return stack
 
 
 # --- SPAM ------------------------------------------------------------------

@@ -8,15 +8,18 @@ single-qubit protocols, plus CSV persistence of decay data.
 All three protocols run on one engine: the truncations of one random
 draw share its prefix, which is propagated once; each truncation is
 closed by its exact group inverse and read out through one or more rows
-over the outcome probabilities (p00, p01, p10, p11).  Simultaneous RB
-draws from the subgroup C1 x C1, which the table holds at indices
+over the outcome probabilities (p00, p01, p10, p11).  The families of a
+campaign advance together, one batched product per step.  Simultaneous
+RB draws from the subgroup C1 x C1, which the table holds at indices
 24*i + j (i on qubit 1, j on qubit 2), so it needs nothing beyond the
 Clifford channels the other protocols use.
 
 Two noise models are provided: DeviceNoiseModel builds per-Clifford
 channels from circuit layers and the device's T1/T2 (the physical
 mode), and InjectedNoiseModel composes a fixed error channel with the
-ideal Clifford action (the analytic-oracle mode).
+ideal Clifford action (the analytic-oracle mode).  Each hands a
+campaign three arrays: the stack of the channels its sequences use, the
+interleaved gate's channel and the closing gates' channels.
 """
 
 from __future__ import annotations
@@ -100,43 +103,124 @@ def depolarizing_ptm(p: float, n_qubits: int = 2) -> np.ndarray:
     return np.diag([1.0] + [p] * (n - 1))
 
 
-class DeviceNoiseModel:
-    """Per-Clifford channels from circuit layers and device decoherence.
+# channels built per batched product: small blocks keep the build's
+# temporaries from adding to a command's peak memory
+_BUILD_BLOCK = 64
 
-    A Clifford's channel is the time-ordered product of its layers'
-    :func:`device.gate_channel` matrices, built on first use and kept
-    for the life of the model.  The layer channels themselves are
-    shared across models: the decoherence part is cached by duration
-    and T1/T2 and the pulse-layer part by the layer alone, so a model
-    for fresh device parameters (one tau2 grid point, say) costs only
-    the 16x16 products.
+
+class _ChannelStack:
+    """Clifford channels of a noise model, built on first use.
+
+    A campaign asks for the channels of all its indices at once
+    (:meth:`channel_stack`) and gets them built in batches into one
+    read-only stack, which the model keeps until a campaign asks for
+    another set.  Single channels (:meth:`clifford_channel`) are kept
+    for the model's life and reused by later stacks.  Subclasses
+    provide ``_channel(index)``, one new channel, and
+    ``_channels(indices)``, the channels of an index array.
     """
 
-    def __init__(self, params: dev.DeviceParams, table: CliffordTable):
-        self.params = params
+    def __init__(self, table: CliffordTable):
         self.table = table
         self._cache: dict[int, np.ndarray] = {}
-
-    def circuit_channel(self, circuit: Circuit) -> np.ndarray:
-        if not circuit:
-            return np.eye(16)
-        r = dev.gate_channel(circuit[0], self.params)
-        for layer in circuit[1:]:
-            r = dev.gate_channel(layer, self.params) @ r
-        # A one-layer circuit gets a C-ordered copy of the cached,
-        # read-only layer channel, like every product; adding +0.0 turns
-        # its -0.0 entries into +0.0, as a product with np.eye(16) would.
-        return r if len(circuit) > 1 else np.add(r, 0.0, order="C")
+        self._stack: tuple[np.ndarray, np.ndarray] | None = None
 
     def clifford_channel(self, index: int) -> np.ndarray:
         ch = self._cache.get(index)
         if ch is None:
-            ch = self.circuit_channel(self.table.circuits[index])
+            ch = self._channel(index)
+            ch.setflags(write=False)
             self._cache[index] = ch
         return ch
 
-    def inversion_channel(self, index: int) -> np.ndarray:
-        return self.clifford_channel(index)
+    def channel_stack(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """Channels of the distinct ``indices``, stacked in index order,
+        and the row of each index (shaped like ``indices``)."""
+        unique, rows = np.unique(indices, return_inverse=True)
+        rows = rows.reshape(np.shape(indices))
+        if self._stack is not None and np.array_equal(self._stack[0], unique):
+            return self._stack[1], rows
+        self._stack = None  # let the old stack go before the new is built
+        stack = np.empty((len(unique), 16, 16))
+        new = []
+        for row, index in enumerate(unique.tolist()):
+            if index in self._cache:
+                stack[row] = self._cache[index]
+            else:
+                new.append(row)
+        for start in range(0, len(new), _BUILD_BLOCK):
+            block = new[start:start + _BUILD_BLOCK]
+            stack[block] = self._channels(unique[block])
+        stack.setflags(write=False)
+        self._stack = (unique, stack)
+        return stack, rows
+
+    def stacks(self, draws, inversions):
+        """(stack, draw rows, inversion stack, inversion rows) of a
+        campaign: its Clifford and closing-gate channels.  Closing gates
+        are noisy Cliffords, so both come from one stack."""
+        stack, rows = self.channel_stack(
+            np.concatenate((np.ravel(draws), np.ravel(inversions))))
+        split = np.size(draws)
+        return (stack, rows[:split].reshape(np.shape(draws)),
+                stack, rows[split:].reshape(np.shape(inversions)))
+
+
+def _time_ordered_product(channels) -> np.ndarray:
+    """channels[-1] @ ... @ channels[0], a new C-ordered array."""
+    if not channels:
+        return np.eye(16)
+    r = channels[0]
+    for ch in channels[1:]:
+        r = ch @ r
+    # A one-layer circuit gets a copy of its layer channel, like every
+    # product; adding +0.0 turns its -0.0 entries into +0.0, as a
+    # product with np.eye(16) would.
+    return r if len(channels) > 1 else np.add(r, 0.0, order="C")
+
+
+class DeviceNoiseModel(_ChannelStack):
+    """Per-Clifford channels from circuit layers and device decoherence.
+
+    A Clifford's channel is the time-ordered product of its layers'
+    noisy transfer matrices.  The model makes the matrix of every layer
+    id once (:func:`device.layer_channels`) and folds the table's
+    ``layer_ids`` over it, one batched product per layer position; only
+    the channels a campaign needs are built.  The result is bit for bit
+    :meth:`circuit_channel` of the element's circuit.
+    """
+
+    def __init__(self, params: dev.DeviceParams, table: CliffordTable):
+        super().__init__(table)
+        self.params = params
+        self._layers: np.ndarray | None = None
+
+    def circuit_channel(self, circuit: Circuit) -> np.ndarray:
+        """Product of the circuit's :func:`device.gate_channel` matrices,
+        the reference for the channels the model builds."""
+        return _time_ordered_product(
+            [dev.gate_channel(layer, self.params) for layer in circuit])
+
+    def _layer_channels(self) -> np.ndarray:
+        if self._layers is None:
+            self._layers = dev.layer_channels(self.params, self.table)
+        return self._layers
+
+    def _channel(self, index: int) -> np.ndarray:
+        layers = self._layer_channels()
+        return _time_ordered_product(
+            [layers[i] for i in self.table.layer_ids[index].tolist() if i])
+
+    def _channels(self, indices) -> np.ndarray:
+        # Padding is the identity layer, and a product with it changes
+        # no bit but -0.0 into +0.0, as _time_ordered_product does for
+        # one-layer circuits.
+        layers = self._layer_channels()
+        ids = self.table.layer_ids[indices]
+        acc = layers[ids[:, 0]]
+        for column in ids.T[1:]:
+            acc = np.matmul(layers[column], acc)
+        return acc
 
     def interleaved_channel(
         self, index: int, circuit: Circuit | None = None
@@ -145,8 +229,8 @@ class DeviceNoiseModel:
         device implements more directly than their table decomposition)
         must recompose to the same group element."""
         if circuit is None:
-            circuit = self.table.circuits[index]
-        elif circuit_perm(circuit) != self.table.elements[index]:
+            return self.clifford_channel(index)
+        if circuit_perm(circuit) != self.table.elements[index]:
             raise ValueError("override circuit does not implement the gate")
         return self.circuit_channel(circuit)
 
@@ -156,7 +240,7 @@ class DeviceNoiseModel:
         return self.clifford_channel(24 * i + j)
 
 
-class InjectedNoiseModel:
+class InjectedNoiseModel(_ChannelStack):
     """Ideal Clifford action followed by a fixed error channel.
 
     ``gate_noise`` (default: none) applies to the interleaved gate
@@ -171,25 +255,26 @@ class InjectedNoiseModel:
         gate_noise: np.ndarray | None = None,
         noisy_inversion: bool = True,
     ):
-        self.table = table
+        super().__init__(table)
         self.noise = np.eye(16) if noise is None else np.asarray(noise, float)
         self.gate_noise = (
             None if gate_noise is None else np.asarray(gate_noise, float)
         )
         self.noisy_inversion = noisy_inversion
-        self._cache: dict[int, np.ndarray] = {}
 
-    def clifford_channel(self, index: int) -> np.ndarray:
-        ch = self._cache.get(index)
-        if ch is None:
-            ch = self.noise @ self.table.ptm(index)
-            self._cache[index] = ch
-        return ch
+    def _channel(self, index: int) -> np.ndarray:
+        return self.noise @ self.table.ptm(index)
 
-    def inversion_channel(self, index: int) -> np.ndarray:
+    def _channels(self, indices) -> np.ndarray:
+        return np.matmul(self.noise, self.table.ptm(indices))
+
+    def stacks(self, draws, inversions):
         if self.noisy_inversion:
-            return self.clifford_channel(index)
-        return self.table.ptm(index)
+            return super().stacks(draws, inversions)
+        stack, rows = self.channel_stack(draws)
+        unique, inv_rows = np.unique(inversions, return_inverse=True)
+        return (stack, rows, self.table.ptm(unique),
+                inv_rows.reshape(np.shape(inversions)))
 
     def interleaved_channel(
         self, index: int, circuit: Circuit | None = None
@@ -212,14 +297,15 @@ def _family_rng(seed: int, family: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, family, stream)))
 
 
-def _truncations(
+def _inversions(
     table: CliffordTable,
     lengths,
     bases: np.ndarray,
     interleaved: int | None = None,
-) -> list[tuple[RBSequence, ...]]:
-    """Truncations of each row of ``bases`` (one family's draw of
-    max(lengths) table indices per row), with exact inversions.
+) -> np.ndarray:
+    """Closing gate of every truncation of each row of ``bases`` (one
+    family's draw of max(lengths) table indices per row), shape
+    (families, lengths).
 
     All truncations of a family share the prefix of its draw; each
     truncation's closing gate is the exact group inverse of everything
@@ -237,6 +323,18 @@ def _truncations(
             running = table.compose_indices(steps[:, t], running)
         done = target
         inversions[:, col] = table.inverse_indices[running]
+    return inversions
+
+
+def _truncations(
+    table: CliffordTable,
+    lengths,
+    bases: np.ndarray,
+    interleaved: int | None = None,
+) -> list[tuple[RBSequence, ...]]:
+    """The truncations of each row of ``bases`` as RBSequence families
+    (see :func:`_inversions`)."""
+    inversions = _inversions(table, lengths, bases, interleaved)
     return [
         tuple(RBSequence(tuple(draw[:target]), inv, interleaved)
               for target, inv in zip(lengths, invs))
@@ -295,49 +393,48 @@ _OBS_Q2 = np.array([1.0, 0.0, 1.0, 0.0])   # qubit 2 ground
 _OBS_PARITY = np.array([1.0, 0.0, 0.0, 1.0])
 
 
-def _family_survivals(
-    family: tuple[RBSequence, ...],
-    noise,
-    spam: dev.SpamModel,
-    shots: int | None,
-    rng: np.random.Generator,
-    gate_circuit: Circuit | None,
-    readout: tuple[np.ndarray, ...],
-) -> np.ndarray:
-    """Readout per truncation and row, propagating the shared prefix once.
+def _run_families(cfg, draws, inversions, noise, spam, gate=None,
+                  gate_circuit=None, readout=(_P00,)) -> np.ndarray:
+    """Readouts of every family, shape (lengths, rows, sequences).
 
-    Returns shape (len(family), len(readout)).  With shots, each entry
-    is one binomial draw, truncation by truncation and row by row.
+    ``draws`` holds each family's Clifford indices (families, max
+    length) and ``inversions`` its closing gates (families, lengths);
+    ``gate`` is the interleaved gate's index, if any.  The states of all
+    families advance together, one batched product per step, and every
+    truncation is closed and read out through ``readout``, rows over
+    (p00, p01, p10, p11).  With shots, each entry is one binomial draw,
+    family by family, truncation by truncation and row by row.
     """
-    x = spam.initial_state()
-    gate_ch = None
-    if family[0].interleaved is not None:
-        gate_ch = noise.interleaved_channel(family[0].interleaved, gate_circuit)
+    stack, draw_rows, inv_stack, inv_rows = noise.stacks(draws, inversions)
+    gate_ch = (None if gate is None
+               else noise.interleaved_channel(gate, gate_circuit))
+    # (families, 16, 1) columns: each product is the matrix-vector
+    # product of one family, as in a per-family loop
+    x = np.tile(spam.initial_state()[:, None], (len(draws), 1, 1))
+    y = np.empty((len(draws), len(cfg.lengths), 16, 1))
     done = 0
-    probs = np.empty((len(family), 4))
-    for row, seq in enumerate(family):
-        for k in seq.indices[done:]:
-            x = noise.clifford_channel(k) @ x
+    for col, target in enumerate(cfg.lengths):
+        for t in range(done, target):
+            x = np.matmul(stack[draw_rows[:, t]], x)
             if gate_ch is not None:
-                x = gate_ch @ x
-        done = len(seq.indices)
-        y = noise.inversion_channel(seq.inversion) @ x
-        probs[row] = dev.apply_spam(pauli.outcome_probabilities(y), spam)
-    out = probs @ np.array(readout).T
-    if shots is not None:
-        out = rng.binomial(shots, np.clip(out, 0.0, 1.0)) / shots
-    return out
+                x = np.matmul(gate_ch, x)
+        done = target
+        y[:, col] = np.matmul(inv_stack[inv_rows[:, col]], x)
+    probs = np.matmul(spam.confusion.T, np.matmul(pauli.OUTCOME_MATRIX, y))
+    out = probs[..., 0] @ np.array(readout).T
+    if cfg.shots is not None:
+        for fam in range(len(out)):
+            rng = _family_rng(cfg.seed, fam, stream=1)
+            out[fam] = rng.binomial(cfg.shots,
+                                    np.clip(out[fam], 0.0, 1.0)) / cfg.shots
+    return np.ascontiguousarray(out.transpose(1, 2, 0))
 
 
-def _run_families(cfg, families, noise, spam, gate_circuit=None,
-                  readout=(_P00,)) -> np.ndarray:
-    """Readouts of every family, shape (lengths, rows, sequences)."""
-    return np.stack([
-        _family_survivals(family, noise, spam, cfg.shots,
-                          _family_rng(cfg.seed, fam, stream=1),
-                          gate_circuit, readout)
-        for fam, family in enumerate(families)
-    ], axis=2)
+def _family_arrays(families) -> tuple[np.ndarray, np.ndarray]:
+    """(draws, inversions) arrays of sampled families."""
+    return (np.array([family[-1].indices for family in families]),
+            np.array([[seq.inversion for seq in family]
+                      for family in families]))
 
 
 def run_rb(
@@ -349,7 +446,8 @@ def run_rb(
     """Standard two-qubit RB campaign."""
     spam = spam or dev.SpamModel.ideal()
     families = sample_sequences(cfg, table)
-    survivals = _run_families(cfg, families, noise, spam)[:, 0, :]
+    survivals = _run_families(cfg, *_family_arrays(families), noise,
+                              spam)[:, 0, :]
     return DecayDataset("standard", cfg.seed, tuple(cfg.lengths), survivals,
                         cfg.shots)
 
@@ -374,7 +472,8 @@ def run_interleaved(
         gate_index = table.index_of(gate)
     spam = spam or dev.SpamModel.ideal()
     families = sample_sequences(cfg, table, interleaved=gate_index)
-    survivals = _run_families(cfg, families, noise, spam, gate_circuit)[:, 0, :]
+    survivals = _run_families(cfg, *_family_arrays(families), noise, spam,
+                              gate_index, gate_circuit)[:, 0, :]
     return DecayDataset("interleaved", cfg.seed, tuple(cfg.lengths),
                         survivals, cfg.shots)
 
@@ -434,10 +533,10 @@ def run_simultaneous(
                 0, 24, size=(cfg.lengths[-1], 2)) * mask
             for fam in range(cfg.n_sequences)
         ])
-        families = _truncations(noise.table, cfg.lengths,
-                                24 * draws[..., 0] + draws[..., 1])
-        stacks[variant] = _run_families(cfg, families, noise, spam,
-                                        readout=readout)
+        bases = 24 * draws[..., 0] + draws[..., 1]
+        stacks[variant] = _run_families(
+            cfg, bases, _inversions(noise.table, cfg.lengths, bases), noise,
+            spam, readout=readout)
 
     def dataset(tag, block):
         return DecayDataset(tag, cfg.seed, tuple(cfg.lengths), block, cfg.shots)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs (in process, via cli.main)."""
 
+import copy
 import csv
 import json
 import math
@@ -84,6 +85,19 @@ def test_group_verify_reports_first_failure(capsys, corrupt, failed, reason):
     assert f"element {failed}: {reason}" in err
     # the census counts the elements checked, the failing one included
     assert sum(summary["class_sizes"].values()) == failed + 1
+
+
+def test_group_verify_checks_layer_ids_against_circuits(capsys, monkeypatch):
+    table = copy.copy(cli.clifford_table())
+    ids = table.layer_ids.copy()
+    ids[7000, :2] = ids[7000, 1::-1]  # swap the first two layers
+    assert not np.array_equal(ids, table.layer_ids)
+    table.layer_ids = ids
+    monkeypatch.setattr(cli, "clifford_table", lambda: table)
+    code, summary, err = run_cli(capsys, "group", "verify")
+    assert code == 1
+    assert summary["failed_element"] == 7000
+    assert summary["reason"] == "layer ids do not decode to the circuit"
 
 
 def test_rb_standard_depolarizing(capsys, tmp_path, depol_config):

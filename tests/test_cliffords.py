@@ -13,6 +13,9 @@ import pytest
 from rbsim import pauli, rb
 from rbsim.cliffords import (
     CNOT,
+    MAX_LAYERS,
+    ZX_LAYER_ID,
+    Layer,
     SignedPauliPerm,
     c1_elements,
     circuit_perm,
@@ -21,6 +24,7 @@ from rbsim.cliffords import (
     gate_unitary,
     group_stats,
     s1_elements,
+    single_qubit_layer,
     twirl_ptm,
     word_perm,
     zx_perm,
@@ -86,6 +90,11 @@ def test_to_ptm_is_transfer_matrix():
     table = clifford_table()
     for k in (0, 1, 577, 6000, 11519):
         np.testing.assert_array_equal(table.ptm(k), table.elements[k].to_ptm())
+    # an index array gives one matrix per index
+    indices = np.array([[0, 577], [6000, 11519]])
+    np.testing.assert_array_equal(
+        table.ptm(indices),
+        [[table.ptm(k) for k in row] for row in indices.tolist()])
 
 
 def test_from_unitary_rejects_non_clifford():
@@ -257,6 +266,30 @@ def test_circuits_reproduce_elements_sample():
     rng = np.random.default_rng(17)
     for i in rng.integers(0, len(table), size=300):
         assert circuit_perm(table.circuits[i]) == table.elements[i]
+
+
+def test_layer_ids_decode_to_circuits():
+    table = clifford_table()
+    ids = table.layer_ids
+    assert ids.shape == (len(table), MAX_LAYERS) and ids.dtype == np.int16
+    assert not ids.flags.writeable
+    decoded = [tuple(table.layers[i] for i in row if i)
+               for row in ids.tolist()]
+    assert decoded == table.circuits
+    # padding only trails the layers
+    present = ids != 0
+    assert not np.any(~present[:, :-1] & present[:, 1:])
+    # the pulse layer of words i and j is id 24*i + j, whose table row
+    # is its exact action; the last id is the entangling layer
+    _, words = c1_elements()
+    assert table.layers[0] is None
+    assert table.layers[ZX_LAYER_ID] == Layer("zx")
+    for i, wa in enumerate(words):
+        for j, wb in enumerate(words):
+            if i or j:
+                layer = table.layers[24 * i + j]
+                assert layer == single_qubit_layer(wa, wb)
+                assert layer.perm() == table.elements[24 * i + j]
 
 
 def test_entangler_count_matches_class():

@@ -308,6 +308,28 @@ def test_gate_channel_matches_kraus_construction_on_every_layer(t1_limited):
     assert worst < 1e-12
 
 
+# parameter sets whose channels must match the gate_channel reference
+# bit for bit: default, T1-limited, coherent error, tau2 -> 0 limit
+REFERENCE_PARAMS = {
+    "default": DeviceParams(),
+    "t1_limited": rb.decoherence_only_params(DeviceParams(), t1_limited=True),
+    "residual_ix": DeviceParams(residual_ix=0.01),
+    "tau2_zero": DeviceParams().with_calibration(1e-9),
+}
+
+
+@pytest.mark.parametrize("p", REFERENCE_PARAMS.values(),
+                         ids=REFERENCE_PARAMS.keys())
+def test_layer_channels_equal_gate_channel_bit_for_bit(p):
+    table = clifford_table()
+    stack = device.layer_channels(p, table)
+    assert stack.shape == (len(table.layers), 16, 16)
+    assert not stack.flags.writeable
+    assert stack[0].tobytes() == np.eye(16).tobytes()
+    for i, layer in enumerate(table.layers[1:], start=1):
+        assert stack[i].tobytes() == device.gate_channel(layer, p).tobytes()
+
+
 def test_gate_channel_noiseless_equals_exact_perm():
     layers = [
         Layer("1q", (("X90", "Y-90"), ("I", "X180"))),

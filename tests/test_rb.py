@@ -5,6 +5,8 @@ survival curve is known exactly: 0.25 + 0.75 * p**i after i Cliffords
 when the inversion is ideal, with one extra factor of p when it is not.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -206,7 +208,8 @@ def test_device_noise_model_matches_layerwise_product(table):
 
 def test_circuit_channel_equals_identity_started_product(table):
     """Starting from the first layer rather than np.eye(16) changes no
-    bit: empty, one-layer (class 1) and longer circuits."""
+    bit: empty, one-layer (class 1) and longer circuits.  The model
+    hands out its kept channels read-only."""
     params = dev.DeviceParams().with_calibration()
     noise = rb.DeviceNoiseModel(params, table)
     for idx in (0, 1, 300, 575, 576, 4321, 11519):
@@ -215,7 +218,90 @@ def test_circuit_channel_equals_identity_started_product(table):
             expected = dev.gate_channel(layer, params) @ expected
         got = noise.clifford_channel(idx)
         assert got.tobytes() == expected.tobytes()
-        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.flags.c_contiguous and not got.flags.writeable
+
+
+@pytest.mark.parametrize("params", [
+    dev.DeviceParams(),
+    rb.decoherence_only_params(dev.DeviceParams(), t1_limited=True),
+    dev.DeviceParams(residual_ix=0.01),
+    dev.DeviceParams().with_calibration(1e-9),
+], ids=["default", "t1_limited", "residual_ix", "tau2_zero"])
+def test_built_channels_equal_circuit_channel_bit_for_bit(table, params):
+    """The batched fold over layer ids and the one-at-a-time build both
+    reproduce the gate_channel product of every element's circuit."""
+    noise = rb.DeviceNoiseModel(params, table)
+    expected = np.stack([noise.circuit_channel(c) for c in table.circuits])
+    everything = np.arange(len(table))
+    stack, rows = noise.channel_stack(everything[::-1])
+    np.testing.assert_array_equal(rows, everything[::-1])
+    assert stack.tobytes() == expected.tobytes()
+    assert not stack.flags.writeable
+    # the same stack again is not rebuilt
+    assert noise.channel_stack(everything)[0] is stack
+    single = rb.DeviceNoiseModel(params, table)
+    assert np.stack([single.clifford_channel(k)
+                     for k in everything]).tobytes() == expected.tobytes()
+
+
+def _survival_hash(ds):
+    return hashlib.sha256(ds.survivals.tobytes() + ds.means().tobytes()
+                          + ds.stderr().tobytes()).hexdigest()
+
+
+def test_campaigns_match_reference_hashes(table):
+    """sha256 of survivals, per-length means and standard errors of
+    device campaigns with SPAM, computed with one matrix-vector product
+    per family and step; the batched engine reproduces them exactly."""
+    gate = table.index_of(zx_perm())
+    spam = dev.SpamModel.symmetric(thermal=0.01, misassignment=0.02)
+    got = {}
+    for shots in (None, 1000):
+        cfg = rb.RBConfig(shots=shots, seed=1234)
+        noise = rb.DeviceNoiseModel(dev.DeviceParams(), table)
+        got["standard", shots] = _survival_hash(
+            rb.run_rb(cfg, table, noise, spam))
+        got["interleaved", shots] = _survival_hash(
+            rb.run_interleaved(cfg, table, noise, gate, spam))
+        got["bare", shots] = _survival_hash(rb.run_interleaved(
+            cfg, table, noise, gate, spam, gate_circuit=(Layer("zx"),)))
+        result = rb.run_simultaneous(cfg, noise, spam)
+        for key, ds in result.datasets.items():
+            got[key, shots] = _survival_hash(ds)
+    assert got == {
+        ("standard", None): "cc5f6042d46a6e49a337573c7d728996"
+                            "e09da68c6feaa854816086974db32872",
+        ("interleaved", None): "524aab3a2b4e331b1210393bfcb2aecf"
+                               "d8fd82cd82f2f52d34356e297c042279",
+        ("bare", None): "524aab3a2b4e331b1210393bfcb2aecf"
+                        "d8fd82cd82f2f52d34356e297c042279",
+        ("alpha1", None): "548876bedf2b5b7eb2707562370bde27"
+                          "8a4953b912f281c3556c909fdca61980",
+        ("alpha2", None): "d85107d44aba7e8a7ca32e6fa6477617"
+                          "32acd922f68862eb71e85476ebe944a9",
+        ("joint_q1", None): "30353151d7d661ceb7645ac96b1e38fc"
+                            "6526b0da44818b9d3e7d70793f52f00a",
+        ("joint_q2", None): "eb71787d6db86c83fac528308ad10a45"
+                            "90b8cad3ca76e5ca1d31b9f62bf319d5",
+        ("joint_parity", None): "13dff88ce27b8e71594bd8228e4bcafe"
+                                "83615762de7ba5bd6a2a6678557eb71c",
+        ("standard", 1000): "5fd13b57820b3c29cdfbb1e8fed7f451"
+                            "85af91542fa9bbec36198f1f5794c746",
+        ("interleaved", 1000): "838af60aeac25eea828fbbb2224992f2"
+                               "101bad2c33f1bbaf963037ea4a9438bc",
+        ("bare", 1000): "838af60aeac25eea828fbbb2224992f2"
+                        "101bad2c33f1bbaf963037ea4a9438bc",
+        ("alpha1", 1000): "de5f75eb2a5c38eb74b88cff95c39f6b"
+                          "b57f7ada6b99abafa6ad44ba78ec9637",
+        ("alpha2", 1000): "0fbbc4d0fc8e227df7304f4eca4e43b3"
+                          "cde8ee29e080bd4cd6e594c758f8b0b2",
+        ("joint_q1", 1000): "efcb4adc2376a49a446831d175c488a7"
+                            "92e26f508794175dbfe2bf729d0f6368",
+        ("joint_q2", 1000): "2634dd7acb8ac300a87bedf465eb8402"
+                            "11a3181faed33beb4d7c5cf5010ecada",
+        ("joint_parity", 1000): "47c126f5ce853f234a444249c3e9f811"
+                                "ef6ccd068b1c8c06f3255ddf213a9a21",
+    }
 
 
 def test_coherence_limit_reuses_an_unchanged_model(table):
@@ -231,7 +317,7 @@ def test_coherence_limit_reuses_an_unchanged_model(table):
         assert result == expected
         assert r == fit.error_per_clifford(expected.alpha)
         # only the unchanged (measured-T2) limit runs on noise's channels
-        assert bool(noise._cache) is not t1_limited
+        assert (noise._stack is not None) is not t1_limited
 
 
 # --- interleaved ------------------------------------------------------------
