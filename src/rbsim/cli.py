@@ -173,21 +173,22 @@ def cmd_group_stats(args) -> int:
 
 
 def _undecoded(ids, layers, table) -> np.ndarray:
-    """Mask of the elements whose row of layer ids (padded with trailing
-    zeros) does not decode to their circuit under ``layers``.
+    """Mask of the elements whose row of layer ids does not decode to
+    their circuit under ``layers``.
 
-    Rows are decoded with the table's own Layer objects, which compare
-    by identity; those are checked against ``layers`` by value.
+    The rows are decoded with the table's own Layer objects, checked
+    against ``layers`` by value, and compared with the circuits as
+    tuples, rows of one depth at a time: identical objects compare
+    without a call to Layer.__eq__, which makes this several times
+    faster than decoding with ``layers``.
     """
-    wrong = np.array([a != b for a, b in zip(layers, table.layers)])
-    shared = np.empty(len(layers), dtype=object)
-    shared[:] = table.layers
-    mask = wrong[ids].any(axis=1)
+    own = np.empty(len(layers), dtype=object)
+    own[:] = table.layers
+    mask = np.array([a != b for a, b in zip(layers, own)])[ids].any(axis=1)
     depth = np.count_nonzero(ids, axis=1)
     for d in range(ids.shape[1] + 1):
         rows = np.flatnonzero(depth == d)
-        decoded = (zip(*(shared[ids[rows, c]] for c in range(d))) if d
-                   else [()] * len(rows))
+        decoded = zip(*own[ids[rows, :d]].T) if d else [()] * len(rows)
         mask[rows] |= [t != table.circuits[k]
                        for k, t in zip(rows.tolist(), decoded)]
     return mask

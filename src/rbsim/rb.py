@@ -116,8 +116,8 @@ class _ChannelStack:
     read-only stack, which the model keeps until a campaign asks for
     another set.  Single channels (:meth:`clifford_channel`) are kept
     for the model's life and reused by later stacks.  Subclasses
-    provide ``_channel(index)``, one new channel, and
-    ``_channels(indices)``, the channels of an index array.
+    provide ``_channels(indices)``: the channels of an index array, or
+    the one channel of a single index, bit for bit as in any batch.
     """
 
     def __init__(self, table: CliffordTable):
@@ -128,7 +128,7 @@ class _ChannelStack:
     def clifford_channel(self, index: int) -> np.ndarray:
         ch = self._cache.get(index)
         if ch is None:
-            ch = self._channel(index)
+            ch = self._channels(index)
             ch.setflags(write=False)
             self._cache[index] = ch
         return ch
@@ -206,18 +206,13 @@ class DeviceNoiseModel(_ChannelStack):
             self._layers = dev.layer_channels(self.params, self.table)
         return self._layers
 
-    def _channel(self, index: int) -> np.ndarray:
-        layers = self._layer_channels()
-        return _time_ordered_product(
-            [layers[i] for i in self.table.layer_ids[index].tolist() if i])
-
     def _channels(self, indices) -> np.ndarray:
         # Padding is the identity layer, and a product with it changes
         # no bit but -0.0 into +0.0, as _time_ordered_product does for
         # one-layer circuits.
         layers = self._layer_channels()
         ids = self.table.layer_ids[indices]
-        acc = layers[ids[:, 0]]
+        acc = layers[ids[..., 0]]
         for column in ids.T[1:]:
             acc = np.matmul(layers[column], acc)
         return acc
@@ -261,9 +256,6 @@ class InjectedNoiseModel(_ChannelStack):
             None if gate_noise is None else np.asarray(gate_noise, float)
         )
         self.noisy_inversion = noisy_inversion
-
-    def _channel(self, index: int) -> np.ndarray:
-        return self.noise @ self.table.ptm(index)
 
     def _channels(self, indices) -> np.ndarray:
         return np.matmul(self.noise, self.table.ptm(indices))
@@ -420,7 +412,7 @@ def _run_families(cfg, draws, inversions, noise, spam, gate=None,
                 x = np.matmul(gate_ch, x)
         done = target
         y[:, col] = np.matmul(inv_stack[inv_rows[:, col]], x)
-    probs = np.matmul(spam.confusion.T, np.matmul(pauli.OUTCOME_MATRIX, y))
+    probs = dev.apply_spam(pauli.outcome_probabilities(y), spam)
     out = probs[..., 0] @ np.array(readout).T
     if cfg.shots is not None:
         for fam in range(len(out)):
