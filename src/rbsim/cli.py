@@ -44,6 +44,7 @@ from .cliffords import (
     compose_rows,
     fold_layer_ids,
     group_stats,
+    layer_rows,
     single_qubit_layer,
     zx_perm,
 )
@@ -209,15 +210,13 @@ def cmd_group_verify(args) -> int:
     # The checks run on all elements at once.  As in a pass over the
     # elements in order, the lowest failing element is reported, with
     # the first of its checks that fails.  Each layer id's Layer and
-    # exact action are made here from the pulse words, and the circuits
-    # are folded from their layer ids.
+    # exact action are made here from the pulse words and gates, and the
+    # circuits are folded from their layer ids.
     _, words = c1_elements()
     layers = [single_qubit_layer(wa, wb) for wa in words for wb in words]
     layers.append(Layer("zx"))
     ids = table.layer_ids
-    folded_perm, folded_sign = fold_layer_ids(
-        ids, [SignedPauliPerm.identity(2)]
-        + [layer.perm() for layer in layers[1:]])
+    folded_perm, folded_sign = fold_layer_ids(ids, *layer_rows(layers))
     n_zx = np.count_nonzero(ids == ZX_LAYER_ID, axis=1)
     inv = table.inverse_indices
     closed_perm, closed_sign = compose_rows(perm[inv], sign[inv], perm, sign)
@@ -564,7 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(inter, rb_options=True)
     inter.add_argument("--gate", choices=cfgmod.GATE_NAMES, default=None)
     inter.add_argument("--bare", action="store_true",
-                       help="play the zx gate as a bare entangling layer")
+                       help="play the zx gate as a bare entangling layer "
+                            "(its table circuit is already that layer, so "
+                            "the decay is the same)")
     inter.set_defaults(func=cmd_rb_interleaved)
     simul = rb_sub.add_parser("simultaneous", help="one-qubit protocols")
     _add_run_options(simul, rb_options=True)

@@ -295,6 +295,16 @@ def _stack(elems) -> tuple[np.ndarray, np.ndarray]:
             np.array([e.sign for e in elems], dtype=np.int8))
 
 
+def _pair_rows(perm, sign) -> tuple[np.ndarray, np.ndarray]:
+    """Two-qubit rows of every pair of n one-qubit rows: row n*i + j is
+    element i on qubit 1 tensor element j on qubit 2."""
+    n = len(perm)
+    return ((4 * perm[:, None, :, None]
+             + perm[None, :, None, :]).reshape(n * n, 16),
+            (sign[:, None, :, None]
+             * sign[None, :, None, :]).reshape(n * n, 16))
+
+
 class _KeyIndex:
     """Index lookup in a set of group elements by their sorted keys."""
 
@@ -375,11 +385,7 @@ class CliffordTable:
             return 24 * c1_index[a.key] + c1_index[b.key]
 
         # Class-1 products: row 24*i + j is c1[i] (x) c1[j].
-        c1_perm, c1_sign = _stack(c1)
-        pair_perm = (4 * c1_perm[:, None, :, None]
-                     + c1_perm[None, :, None, :]).reshape(576, 16)
-        pair_sign = (c1_sign[:, None, :, None]
-                     * c1_sign[None, :, None, :]).reshape(576, 16)
+        pair_perm, pair_sign = _pair_rows(*_stack(c1))
         class1 = _KeyIndex(pair_perm, pair_sign)
 
         cnot_perm = SignedPauliPerm.from_unitary(CNOT)
@@ -514,6 +520,32 @@ class CliffordTable:
     def __len__(self) -> int:
         return len(self.perm_array)
 
+    @functools.cached_property
+    def head_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The circuits split before their last layer, as ``(heads,
+        head_of, last)``: circuit k is the layer ids ``heads[head_of[k]]``
+        (0-padded, MAX_LAYERS - 1 wide) followed by layer ``last[k]``,
+        which is 0 for the empty circuit.  The distinct heads are few
+        (38 for this table), so a channel per head and one product per
+        element give every element's channel.  Derived from
+        ``layer_ids`` on first use; the arrays are read-only.
+        """
+        ids = self.layer_ids
+        rows = np.arange(len(ids))
+        end = np.maximum(np.count_nonzero(ids, axis=1) - 1, 0)
+        last = ids[rows, end]
+        head = ids.astype(np.int64)
+        head[rows, end] = 0
+        head = head[:, :-1]
+        # one integer per head row: its layer ids, 10 bits each
+        codes = head @ (1 << (10 * np.arange(MAX_LAYERS - 1, dtype=np.int64)))
+        _, first, head_of = np.unique(codes, return_index=True,
+                                      return_inverse=True)
+        split = (head[first], head_of.astype(np.int16), last)
+        for array in split:
+            array.setflags(write=False)
+        return split
+
     def find(self, perm, sign) -> np.ndarray:
         """Table index of each (perm, sign) row, -1 for non-members."""
         return self._index.find(np.asarray(perm), np.asarray(sign))
@@ -563,20 +595,44 @@ class CliffordTable:
         return self.circuits[self.index_of(target)]
 
 
-def fold_layer_ids(layer_ids, layer_elements: Sequence[SignedPauliPerm]
+def fold_layer_ids(layer_ids, layer_perm, layer_sign
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Exact channels of circuits given as layer ids (time order, one
-    row per circuit) as (perm, sign) rows; ``layer_elements[i]`` is the
-    action of layer id i.  The fold takes one gather per layer position:
-    the vectorised counterpart of :func:`circuit_perm`.
+    row per circuit) as (perm, sign) rows; row i of ``layer_perm`` and
+    ``layer_sign`` is the action of layer id i (see :func:`layer_rows`).
+    The fold takes one gather per layer position: the vectorised
+    counterpart of :func:`circuit_perm`.
     """
     layer_ids = np.asarray(layer_ids)
-    layer_perm, layer_sign = _stack(layer_elements)
     perm = np.broadcast_to(np.arange(16), (len(layer_ids), 16))
     sign = np.ones((len(layer_ids), 16), dtype=np.int8)
     for column in layer_ids.T:
         perm, sign = compose_rows(layer_perm[column], layer_sign[column],
                                   perm, sign)
+    return perm, sign
+
+
+def layer_rows(layers: Sequence[Layer | None]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact actions of layers as (perm, sign) rows, the identity for
+    None: the array counterpart of :meth:`Layer.perm`.  Pulse layers are
+    folded slot by slot from the gate_perm rows of the pulse alphabet,
+    all layers at once."""
+    gates = {name: i for i, name in enumerate(GATE_NAMES)}
+    pulse_perm, pulse_sign = _pair_rows(
+        *_stack([gate_perm(name) for name in GATE_NAMES]))
+    slots = max(layer.n_slots for layer in layers if layer is not None)
+    # gate pair of each slot, padded with (I, I), pair 0
+    pairs = np.zeros((len(layers), slots), dtype=np.intp)
+    for k, layer in enumerate(layers):
+        if layer is not None:
+            pairs[k, :layer.n_slots] = [len(GATE_NAMES) * gates[g1] + gates[g2]
+                                        for g1, g2 in layer.pulses]
+    # the slots fold like layer ids, with gate pairs for layers
+    perm, sign = fold_layer_ids(pairs, pulse_perm, pulse_sign)
+    zx = [k for k, layer in enumerate(layers)
+          if layer is not None and layer.kind == "zx"]
+    perm[zx], sign[zx] = _stack([zx_perm()])
     return perm, sign
 
 

@@ -344,26 +344,25 @@ def layer_channels(p: DeviceParams, table: CliffordTable) -> np.ndarray:
 
     Row i is :func:`gate_channel` of ``table.layers[i]``, bit for bit;
     row 0 (no layer) is the identity.  A pulse layer's exact action is
-    table row i, so the pulse rows are gathers from the decoherence
-    part of each pulse-slot count, columns permuted and signed by those
-    rows.  Only the entangling layer goes through :func:`gate_channel`.
-    The stack is read-only.
+    table row i, so the pulse rows of each pulse-slot count are one
+    gather from that count's decoherence part, columns permuted and
+    signed by those rows, 64 layers at a time.  Only the entangling
+    layer goes through :func:`gate_channel`.  The stack is read-only.
     """
-    pulses = table.layers[:ZX_LAYER_ID]
     slots = np.array([0 if layer is None else layer.n_slots
-                      for layer in pulses])
-    decays = np.stack([
-        decoherence_ptm(p.t1_1_us, p.t2_1_us, p.t1_2_us, p.t2_2_us,
-                        n * p.t_single_ns)
-        for n in range(slots.max() + 1)
-    ])
-    rows = np.arange(16)[None, :, None]
+                      for layer in table.layers[:ZX_LAYER_ID]])
     stack = np.empty((ZX_LAYER_ID + 1, 16, 16))
-    for start in range(0, ZX_LAYER_ID, _LAYER_BLOCK):
-        ids = slice(start, min(start + _LAYER_BLOCK, ZX_LAYER_ID))
-        np.multiply(decays[slots[ids, None, None], rows,
-                           table.perm_array[ids, None, :]],
-                    table.sign_array[ids, None, :], out=stack[ids])
+    for n in range(slots.max() + 1):
+        decay = decoherence_ptm(p.t1_1_us, p.t2_1_us, p.t1_2_us, p.t2_2_us,
+                                n * p.t_single_ns)
+        ids = np.flatnonzero(slots == n)
+        for start in range(0, len(ids), _LAYER_BLOCK):
+            block = ids[start:start + _LAYER_BLOCK]
+            # decay[:, perm] * sign of each layer; the gather is
+            # (row, layer, column), the stack (layer, row, column)
+            gathered = decay[:, table.perm_array[block]]
+            stack[block] = (gathered.transpose(1, 0, 2)
+                            * table.sign_array[block, None, :])
     stack[ZX_LAYER_ID] = gate_channel(Layer("zx"), p)
     stack.setflags(write=False)
     return stack

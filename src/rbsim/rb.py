@@ -115,9 +115,10 @@ class _ChannelStack:
     (:meth:`channel_stack`) and gets them built in batches into one
     read-only stack, which the model keeps until a campaign asks for
     another set.  Single channels (:meth:`clifford_channel`) are kept
-    for the model's life and reused by later stacks.  Subclasses
-    provide ``_channels(indices)``: the channels of an index array, or
-    the one channel of a single index, bit for bit as in any batch.
+    for the model's life.  Subclasses provide ``_channels(indices,
+    out=None)``: the channels of an index array, written to ``out`` if
+    given, or the one channel of a single index, bit for bit as in any
+    batch.
     """
 
     def __init__(self, table: CliffordTable):
@@ -142,15 +143,9 @@ class _ChannelStack:
             return self._stack[1], rows
         self._stack = None  # let the old stack go before the new is built
         stack = np.empty((len(unique), 16, 16))
-        new = []
-        for row, index in enumerate(unique.tolist()):
-            if index in self._cache:
-                stack[row] = self._cache[index]
-            else:
-                new.append(row)
-        for start in range(0, len(new), _BUILD_BLOCK):
-            block = new[start:start + _BUILD_BLOCK]
-            stack[block] = self._channels(unique[block])
+        for start in range(0, len(unique), _BUILD_BLOCK):
+            block = slice(start, start + _BUILD_BLOCK)
+            self._channels(unique[block], out=stack[block])
         stack.setflags(write=False)
         self._stack = (unique, stack)
         return stack, rows
@@ -184,9 +179,11 @@ class DeviceNoiseModel(_ChannelStack):
 
     A Clifford's channel is the time-ordered product of its layers'
     noisy transfer matrices.  The model makes the matrix of every layer
-    id once (:func:`device.layer_channels`) and folds the table's
-    ``layer_ids`` over it, one batched product per layer position; only
-    the channels a campaign needs are built.  The result is bit for bit
+    id once (:func:`device.layer_channels`), then the product of each of
+    the table's few distinct circuit heads (``table.head_split``: each
+    circuit without its last layer), so every channel is one product,
+    its last layer's matrix times its head's.  Only the channels a
+    campaign needs are built.  The result is bit for bit
     :meth:`circuit_channel` of the element's circuit.
     """
 
@@ -194,6 +191,7 @@ class DeviceNoiseModel(_ChannelStack):
         super().__init__(table)
         self.params = params
         self._layers: np.ndarray | None = None
+        self._heads: np.ndarray | None = None
 
     def circuit_channel(self, circuit: Circuit) -> np.ndarray:
         """Product of the circuit's :func:`device.gate_channel` matrices,
@@ -206,16 +204,24 @@ class DeviceNoiseModel(_ChannelStack):
             self._layers = dev.layer_channels(self.params, self.table)
         return self._layers
 
-    def _channels(self, indices) -> np.ndarray:
-        # Padding is the identity layer, and a product with it changes
-        # no bit but -0.0 into +0.0, as _time_ordered_product does for
-        # one-layer circuits.
-        layers = self._layer_channels()
-        ids = self.table.layer_ids[indices]
-        acc = layers[ids[..., 0]]
-        for column in ids.T[1:]:
-            acc = np.matmul(layers[column], acc)
-        return acc
+    def _head_channels(self) -> np.ndarray:
+        """Channel of each distinct head, folded over its layer ids with
+        one batched product per layer position.  Padding is the identity
+        layer, and a product with it changes no bit but -0.0 into +0.0,
+        as _time_ordered_product does for one-layer circuits."""
+        if self._heads is None:
+            layers = self._layer_channels()
+            heads = self.table.head_split[0]
+            acc = layers[heads[:, 0]]
+            for column in heads.T[1:]:
+                acc = np.matmul(layers[column], acc)
+            self._heads = acc
+        return self._heads
+
+    def _channels(self, indices, out=None) -> np.ndarray:
+        _, head_of, last = self.table.head_split
+        return np.matmul(self._layer_channels()[last[indices]],
+                         self._head_channels()[head_of[indices]], out=out)
 
     def interleaved_channel(
         self, index: int, circuit: Circuit | None = None
@@ -257,8 +263,8 @@ class InjectedNoiseModel(_ChannelStack):
         )
         self.noisy_inversion = noisy_inversion
 
-    def _channels(self, indices) -> np.ndarray:
-        return np.matmul(self.noise, self.table.ptm(indices))
+    def _channels(self, indices, out=None) -> np.ndarray:
+        return np.matmul(self.noise, self.table.ptm(indices), out=out)
 
     def stacks(self, draws, inversions):
         if self.noisy_inversion:

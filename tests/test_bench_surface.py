@@ -52,7 +52,8 @@ def test_channel_lookups_one_index_at_a_time(table):
         assert noise.clifford_channel(k) is ch
     np.testing.assert_array_equal(noise.pair_channel(3, 7),
                                   noise.clifford_channel(24 * 3 + 7))
-    # a campaign afterwards reuses the channels built one at a time
+    # a campaign's stack holds the same bits as the channels built one
+    # at a time
     stack, rows = noise.channel_stack(np.array([4321, 5, 4321]))
     assert stack[rows[0]].tobytes() == noise.clifford_channel(4321).tobytes()
     assert stack[rows[1]].tobytes() == noise.clifford_channel(5).tobytes()

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 import math
 
@@ -35,6 +36,31 @@ def depol_config(tmp_path):
     path = tmp_path / "depol.ini"
     path.write_text(DEPOL_INI)
     return str(path)
+
+
+# stdout of the default-device commands at seed 1234: exit code, sha256
+REFERENCE_OUTPUTS = {
+    "rb standard": (
+        0, "b83eef07753e9371d1f6cdc55a7ecfbdeba69c41db7e968e64402bbecf38b5eb"),
+    "rb interleaved": (
+        0, "2ba6fa4136c440a5f892f362def5f4fa24e7eb8b66888e72bd346ddafc190dfe"),
+    # the qubit-1 fit does not converge at this seed
+    "rb simultaneous": (
+        2, "d8bffe1a44b5fcccb046430c06319029d8a92b9e44f8b49c57bf076fd1d96f68"),
+    "qpt --shots 1000": (
+        0, "d8bd9f258a7b23d454d9c4f59c917f892a876ceb403da3ef4f3e3a02c5c43925"),
+    "sweep tau2 --points 3": (
+        0, "4554f6467aec572a23708f0801fe4a3983e1b98d2901795f229640ea1db42f52"),
+}
+
+
+@pytest.mark.parametrize("command", REFERENCE_OUTPUTS)
+def test_default_device_outputs_match_reference_hashes(capsys, command):
+    """Any change to a printed number, however small, shows here."""
+    code = cli.main([*command.split(), "--seed", "1234"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) \
+        == REFERENCE_OUTPUTS[command]
 
 
 def test_group_stats(capsys):

@@ -5,6 +5,7 @@ path (multiply matrices, then extract the transfer permutation), which
 was itself validated against a plain trace-formula oracle.
 """
 
+import copy
 import hashlib
 
 import numpy as np
@@ -23,6 +24,7 @@ from rbsim.cliffords import (
     gate_perm,
     gate_unitary,
     group_stats,
+    layer_rows,
     s1_elements,
     single_qubit_layer,
     twirl_ptm,
@@ -290,6 +292,46 @@ def test_layer_ids_decode_to_circuits():
                 layer = table.layers[24 * i + j]
                 assert layer == single_qubit_layer(wa, wb)
                 assert layer.perm() == table.elements[24 * i + j]
+
+
+def test_layer_rows_equal_layer_perm():
+    """The array actions of every layer id, pulse by pulse from the
+    gate rows, are the Layer.perm() object folds."""
+    table = clifford_table()
+    perm, sign = layer_rows(table.layers)
+    assert perm.shape == sign.shape == (len(table.layers), 16)
+    for i, layer in enumerate(table.layers):
+        expected = SignedPauliPerm.identity(2) if layer is None else layer.perm()
+        assert SignedPauliPerm(tuple(perm[i].tolist()),
+                               tuple(sign[i].tolist())) == expected
+
+
+def _head_split(layer_ids):
+    """head_split of a table whose layer ids are replaced."""
+    table = copy.copy(clifford_table())
+    vars(table).pop("head_split", None)
+    table.layer_ids = layer_ids
+    return table.head_split
+
+
+def test_head_split_recomposes_the_layer_ids():
+    """Each circuit is its head followed by its last layer; the heads
+    are distinct and few.  The split reads only the rows, so it holds
+    for rows in any order."""
+    table = clifford_table()
+    heads, head_of, last = table.head_split
+    assert heads.shape == (38, MAX_LAYERS - 1)
+    assert len(np.unique(heads, axis=0)) == len(heads)
+    assert not any(a.flags.writeable for a in (heads, head_of, last))
+    assert table.head_split is table.head_split
+    circuits = [tuple(i for i in row if i) for row in table.layer_ids.tolist()]
+    joined = [tuple(i for i in heads[h].tolist() + [t] if i)
+              for h, t in zip(head_of.tolist(), last.tolist())]
+    assert joined == circuits
+    order = np.random.default_rng(5).permutation(len(table))
+    s_heads, s_head_of, s_last = _head_split(table.layer_ids[order])
+    np.testing.assert_array_equal(s_last, last[order])
+    np.testing.assert_array_equal(s_heads[s_head_of], heads[head_of[order]])
 
 
 def test_entangler_count_matches_class():
