@@ -116,8 +116,6 @@ def _profile(args) -> cfgmod.RunProfile:
         profile.qpt_shots = None
     if getattr(args, "gate", None) is not None:
         profile.interleaved_gate = args.gate
-    if getattr(args, "bare", False):
-        profile.bare_gate = True
     if getattr(args, "target", None) is not None:
         profile.qpt_target = args.target
     if getattr(args, "spam_aware", False):
@@ -173,28 +171,6 @@ def cmd_group_stats(args) -> int:
     return EXIT_OK
 
 
-def _undecoded(ids, layers, table) -> np.ndarray:
-    """Mask of the elements whose row of layer ids does not decode to
-    their circuit under ``layers``.
-
-    The rows are decoded with the table's own Layer objects, checked
-    against ``layers`` by value, and compared with the circuits as
-    tuples, rows of one depth at a time: identical objects compare
-    without a call to Layer.__eq__, which makes this several times
-    faster than decoding with ``layers``.
-    """
-    own = np.empty(len(layers), dtype=object)
-    own[:] = table.layers
-    mask = np.array([a != b for a, b in zip(layers, own)])[ids].any(axis=1)
-    depth = np.count_nonzero(ids, axis=1)
-    for d in range(ids.shape[1] + 1):
-        rows = np.flatnonzero(depth == d)
-        decoded = zip(*own[ids[rows, :d]].T) if d else [()] * len(rows)
-        mask[rows] |= [t != table.circuits[k]
-                       for k, t in zip(rows.tolist(), decoded)]
-    return mask
-
-
 def cmd_group_verify(args) -> int:
     profile = _profile(args)
     table = clifford_table()
@@ -211,17 +187,19 @@ def cmd_group_verify(args) -> int:
     # elements in order, the lowest failing element is reported, with
     # the first of its checks that fails.  Each layer id's Layer and
     # exact action are made here from the pulse words and gates, and the
-    # circuits are folded from their layer ids.
+    # circuits are folded from their layer ids.  The table's own layers
+    # must equal these: device.layer_channels reads their durations.
     _, words = c1_elements()
     layers = [single_qubit_layer(wa, wb) for wa in words for wb in words]
     layers.append(Layer("zx"))
+    relabelled = np.array([a != b for a, b in zip(layers, table.layers)])
     ids = table.layer_ids
     folded_perm, folded_sign = fold_layer_ids(ids, *layer_rows(layers))
     n_zx = np.count_nonzero(ids == ZX_LAYER_ID, axis=1)
     inv = table.inverse_indices
     closed_perm, closed_sign = compose_rows(perm[inv], sign[inv], perm, sign)
     checks = (
-        (_undecoded(ids, layers, table),
+        (relabelled[ids].any(axis=1),
          "layer ids do not decode to the circuit"),
         (np.any(folded_perm != perm, axis=1)
          | np.any(folded_sign != sign, axis=1),
@@ -310,12 +288,9 @@ def cmd_rb_interleaved(args) -> int:
     cfg = profile.rb_config()
     noise = profile.noise(table)
     gate_index = table.index_of(_gate_element(profile.interleaved_gate))
-    gate_circuit = (Layer("zx"),) if profile.bare_gate else None
     reference = rb.run_rb(cfg, table, noise, profile.spam)
-    interleaved = rb.run_interleaved(
-        cfg, table, noise, gate_index, profile.spam,
-        gate_circuit=gate_circuit,
-    )
+    interleaved = rb.run_interleaved(cfg, table, noise, gate_index,
+                                     profile.spam)
     fit_ref = rb.fit_dataset(reference)
     fit_int = rb.fit_dataset(interleaved)
     estimate = fit.interleaved_error(
@@ -332,7 +307,6 @@ def cmd_rb_interleaved(args) -> int:
         "shots": cfg.shots,
         "noise_model": profile.noise_model,
         "gate": profile.interleaved_gate,
-        "bare_gate": profile.bare_gate,
         "alpha": fit_ref.alpha,
         "alpha_sigma": fit_ref.alpha_sigma,
         "alpha_c": fit_int.alpha,
@@ -562,10 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     inter = rb_sub.add_parser("interleaved", help="fixed-gate error bound")
     _add_run_options(inter, rb_options=True)
     inter.add_argument("--gate", choices=cfgmod.GATE_NAMES, default=None)
-    inter.add_argument("--bare", action="store_true",
-                       help="play the zx gate as a bare entangling layer "
-                            "(its table circuit is already that layer, so "
-                            "the decay is the same)")
     inter.set_defaults(func=cmd_rb_interleaved)
     simul = rb_sub.add_parser("simultaneous", help="one-qubit protocols")
     _add_run_options(simul, rb_options=True)

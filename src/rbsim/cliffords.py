@@ -336,21 +336,28 @@ class _KeyIndex:
         return np.where(hit, index, -1)
 
 
-class _ElementView(Sequence):
-    """Read-only sequence of a table's elements, each made on access as a
-    validated SignedPauliPerm from its array rows."""
+class _RowView(Sequence):
+    """Read-only sequence over aligned array rows: item k is made on
+    access as ``make(*(array[k] for array in arrays))``."""
 
-    def __init__(self, perm: np.ndarray, sign: np.ndarray):
-        self._perm = perm
-        self._sign = sign
+    def __init__(self, make, *arrays: np.ndarray):
+        self._make = make
+        self._arrays = arrays
 
     def __len__(self) -> int:
-        return len(self._perm)
+        return len(self._arrays[0])
 
-    def __getitem__(self, index) -> SignedPauliPerm:
+    def __getitem__(self, index):
         k = operator.index(index)
-        return SignedPauliPerm(tuple(self._perm[k].tolist()),
-                               tuple(self._sign[k].tolist()))
+        return self._make(*(array[k] for array in self._arrays))
+
+
+def _element(perm: np.ndarray, sign: np.ndarray) -> SignedPauliPerm:
+    return SignedPauliPerm(tuple(perm.tolist()), tuple(sign.tolist()))
+
+
+def _circuit(layers: tuple, ids: np.ndarray) -> Circuit:
+    return tuple(layers[i] for i in ids.tolist() if i)
 
 
 class CliffordTable:
@@ -363,12 +370,14 @@ class CliffordTable:
         perm_array[k, j]; like the other arrays here, read-only
     elements : read-only sequence of SignedPauliPerm, made from those rows
         on access
-    circuits : list of Circuit, aligned with the rows
     layer_ids : (11520, MAX_LAYERS) int16 array, the circuits as layer ids
-        in time order, padded with 0 (no layer).  The pulse layer of
-        words i and j has id 24*i + j, which is also the table row of
-        its exact element; ZX_LAYER_ID is the entangling layer
+        in time order, padded with 0 (no layer), and their only stored
+        form.  The pulse layer of words i and j has id 24*i + j, which is
+        also the table row of its exact element; ZX_LAYER_ID is the
+        entangling layer
     layers : tuple of the Layer of each id, None for id 0
+    circuits : read-only sequence of Circuit, row k of layer_ids decoded
+        through layers on access
     class_ids : int array, 0..3 per element (see CLASS_NAMES)
     inverse_indices : int array, index of each element's inverse
     """
@@ -447,8 +456,6 @@ class CliffordTable:
             return (24 * qa[:, None] + qb[None, :]).ravel()
 
         blocks = [(pair_perm, pair_sign)]
-        circuits: list[Circuit] = [() if l is None else (l,)
-                                   for l in layers[:ZX_LAYER_ID]]
         id_blocks = [np.arange(576)[:, None]]
         class_ids = [0] * 576
 
@@ -458,9 +465,6 @@ class CliffordTable:
             from the head and ends the circuit as a post."""
             blocks.append(compose_rows(pair_perm, pair_sign, *_stack([right])))
             head = [i for i in head if i]
-            head_layers = tuple(layers[i] for i in head)
-            circuits.extend(head_layers + (layers[i],) if i else head_layers
-                            for i in posts.tolist())
             ids = np.empty((576, len(head) + 1), dtype=np.intp)
             ids[:, :-1] = head
             ids[:, -1] = posts
@@ -501,14 +505,15 @@ class CliffordTable:
 
         self.perm_array = perm
         self.sign_array = sign
-        self.elements = _ElementView(perm, sign)
-        self.circuits = circuits
+        self.elements = _RowView(_element, perm, sign)
         self.layers = layers
         self.layer_ids = np.zeros((len(perm), MAX_LAYERS), dtype=np.int16)
         start = 0
         for ids in id_blocks:
             self.layer_ids[start:start + len(ids), :ids.shape[1]] = ids
             start += len(ids)
+        self.circuits = _RowView(functools.partial(_circuit, layers),
+                                 self.layer_ids)
         self.class_ids = np.array(class_ids, dtype=np.int8)
         self.inverse_indices = self._index.locate(
             _keys(*_inverse(perm, sign)))
@@ -654,27 +659,22 @@ class GroupStats:
 def group_stats(table: CliffordTable | None = None) -> GroupStats:
     table = table or clifford_table()
     sizes = tuple(int(np.sum(table.class_ids == c)) for c in range(4))
-    n_zx = 0
-    n_pulses = 0
-    n_slots = 0
-    max_word = 0
-    for circuit in table.circuits:
-        for layer in circuit:
-            if layer.kind == "zx":
-                n_zx += 1
-            else:
-                n_slots += 2 * layer.n_slots
-                n_pulses += sum(
-                    (g1 != "I") + (g2 != "I") for g1, g2 in layer.pulses
-                )
-                max_word = max(max_word, layer.n_slots)
+    # pulse slots and non-identity pulses of each layer id, 0 for the
+    # entangling layer and for id 0 (no layer), gathered over the circuits
+    slots, pulses = np.array([
+        (0, 0) if layer is None else
+        (layer.n_slots,
+         sum((g1 != "I") + (g2 != "I") for g1, g2 in layer.pulses))
+        for layer in table.layers
+    ]).T
+    ids = table.layer_ids
     n = len(table)
     return GroupStats(
         class_sizes=sizes,
-        avg_entangling_layers=n_zx / n,
-        avg_pulses=n_pulses / n,
-        avg_pulse_slots=n_slots / n,
-        max_word_length=max_word,
+        avg_entangling_layers=int(np.count_nonzero(ids == ZX_LAYER_ID)) / n,
+        avg_pulses=int(pulses[ids].sum()) / n,
+        avg_pulse_slots=2 * int(slots[ids].sum()) / n,
+        max_word_length=int(slots[ids].max()),
     )
 
 

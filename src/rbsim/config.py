@@ -27,7 +27,7 @@ _RUN_KEYS = {"seed", "out_dir"}
 _SPAM_KEYS = {"thermal_pop_1", "thermal_pop_2", "thermal", "misassignment"}
 _RB_KEYS = {
     "lengths", "sequences", "shots", "noise_model",
-    "clifford_depol", "gate_depol", "interleaved_gate", "bare_gate",
+    "clifford_depol", "gate_depol", "interleaved_gate",
 }
 _QPT_KEYS = {"shots", "target", "spam_aware"}
 _SWEEP_KEYS = {
@@ -53,7 +53,6 @@ class RunProfile:
     clifford_depol: float = 0.98
     gate_depol: float = 0.99
     interleaved_gate: str = "zx"
-    bare_gate: bool = False
     qpt_shots: int | None = None
     qpt_target: str = "zx"
     qpt_spam_aware: bool = False
@@ -180,7 +179,6 @@ def load_profile(path: str | None = None) -> RunProfile:
             profile.interleaved_gate = sec.get(
                 "interleaved_gate", profile.interleaved_gate
             ).lower()
-            profile.bare_gate = sec.getboolean("bare_gate", profile.bare_gate)
 
         if cp.has_section("qpt"):
             sec = cp["qpt"]
@@ -225,8 +223,6 @@ def validate(profile: RunProfile) -> None:
         )
     if profile.qpt_target not in GATE_NAMES + ("identity",):
         raise ConfigError(f"unknown qpt target {profile.qpt_target!r}")
-    if profile.bare_gate and profile.interleaved_gate != "zx":
-        raise ConfigError("bare_gate applies to the zx gate only")
     for name in ("clifford_depol", "gate_depol"):
         value = getattr(profile, name)
         if not 0.0 < value <= 1.0:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import device as dev
 from . import fit, pauli
-from .cliffords import CliffordTable, Circuit, SignedPauliPerm, circuit_perm
+from .cliffords import CliffordTable, Circuit, SignedPauliPerm
 
 DEFAULT_LENGTHS = tuple(range(1, 21))
 
@@ -223,17 +223,9 @@ class DeviceNoiseModel(_ChannelStack):
         return np.matmul(self._layer_channels()[last[indices]],
                          self._head_channels()[head_of[indices]], out=out)
 
-    def interleaved_channel(
-        self, index: int, circuit: Circuit | None = None
-    ) -> np.ndarray:
-        """Channel of the fixed gate; an explicit circuit (for gates the
-        device implements more directly than their table decomposition)
-        must recompose to the same group element."""
-        if circuit is None:
-            return self.clifford_channel(index)
-        if circuit_perm(circuit) != self.table.elements[index]:
-            raise ValueError("override circuit does not implement the gate")
-        return self.circuit_channel(circuit)
+    def interleaved_channel(self, index: int) -> np.ndarray:
+        """Channel of the fixed gate: its table circuit's channel."""
+        return self.clifford_channel(index)
 
     def pair_channel(self, i: int, j: int) -> np.ndarray:
         """Channel of simultaneous one-qubit Cliffords (i on qubit 1,
@@ -274,9 +266,7 @@ class InjectedNoiseModel(_ChannelStack):
         return (stack, rows, self.table.ptm(unique),
                 inv_rows.reshape(np.shape(inversions)))
 
-    def interleaved_channel(
-        self, index: int, circuit: Circuit | None = None
-    ) -> np.ndarray:
+    def interleaved_channel(self, index: int) -> np.ndarray:
         ideal = self.table.ptm(index)
         if self.gate_noise is None:
             return ideal
@@ -392,7 +382,7 @@ _OBS_PARITY = np.array([1.0, 0.0, 0.0, 1.0])
 
 
 def _run_families(cfg, draws, inversions, noise, spam, gate=None,
-                  gate_circuit=None, readout=(_P00,)) -> np.ndarray:
+                  readout=(_P00,)) -> np.ndarray:
     """Readouts of every family, shape (lengths, rows, sequences).
 
     ``draws`` holds each family's Clifford indices (families, max
@@ -404,8 +394,7 @@ def _run_families(cfg, draws, inversions, noise, spam, gate=None,
     family by family, truncation by truncation and row by row.
     """
     stack, draw_rows, inv_stack, inv_rows = noise.stacks(draws, inversions)
-    gate_ch = (None if gate is None
-               else noise.interleaved_channel(gate, gate_circuit))
+    gate_ch = None if gate is None else noise.interleaved_channel(gate)
     # (families, 16, 1) columns: each product is the matrix-vector
     # product of one family, as in a per-family loop
     x = np.tile(spam.initial_state()[:, None], (len(draws), 1, 1))
@@ -456,7 +445,6 @@ def run_interleaved(
     noise,
     gate,
     spam: dev.SpamModel | None = None,
-    gate_circuit: Circuit | None = None,
 ) -> DecayDataset:
     """Interleaved campaign; ``gate`` is a table index, a signed
     permutation, or a unitary, and must be a Clifford group element."""
@@ -471,7 +459,7 @@ def run_interleaved(
     spam = spam or dev.SpamModel.ideal()
     families = sample_sequences(cfg, table, interleaved=gate_index)
     survivals = _run_families(cfg, *_family_arrays(families), noise, spam,
-                              gate_index, gate_circuit)[:, 0, :]
+                              gate_index)[:, 0, :]
     return DecayDataset("interleaved", cfg.seed, tuple(cfg.lengths),
                         survivals, cfg.shots)
 
@@ -558,10 +546,12 @@ def run_simultaneous(
 
 def mean_clifford_duration_ns(params: dev.DeviceParams,
                               table: CliffordTable) -> float:
-    total = 0.0
-    for circuit in table.circuits:
-        total += sum(dev.layer_duration_ns(layer, params) for layer in circuit)
-    return total / len(table)
+    """Mean wall-clock length of the table's circuits: the duration of
+    each layer id (0 for id 0, no layer) gathered over the circuits."""
+    durations = np.array([0.0 if layer is None
+                          else dev.layer_duration_ns(layer, params)
+                          for layer in table.layers])
+    return float(durations[table.layer_ids].sum()) / len(table)
 
 
 def decoherence_only_params(params: dev.DeviceParams,

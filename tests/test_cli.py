@@ -43,7 +43,7 @@ REFERENCE_OUTPUTS = {
     "rb standard": (
         0, "b83eef07753e9371d1f6cdc55a7ecfbdeba69c41db7e968e64402bbecf38b5eb"),
     "rb interleaved": (
-        0, "2ba6fa4136c440a5f892f362def5f4fa24e7eb8b66888e72bd346ddafc190dfe"),
+        0, "d505ca6c3bcb1b9856b076dea6a1284001fdb70c004a93296feab88eca6e6edd"),
     # the qubit-1 fit does not converge at this seed
     "rb simultaneous": (
         2, "d8bffe1a44b5fcccb046430c06319029d8a92b9e44f8b49c57bf076fd1d96f68"),
@@ -114,6 +114,7 @@ def test_group_verify_reports_first_failure(capsys, corrupt, failed, reason):
 
 
 def test_group_verify_checks_layer_ids_against_circuits(capsys, monkeypatch):
+    """Swapped layers fold to another element."""
     table = copy.copy(cli.clifford_table())
     ids = table.layer_ids.copy()
     ids[7000, :2] = ids[7000, 1::-1]  # swap the first two layers
@@ -123,7 +124,27 @@ def test_group_verify_checks_layer_ids_against_circuits(capsys, monkeypatch):
     code, summary, err = run_cli(capsys, "group", "verify")
     assert code == 1
     assert summary["failed_element"] == 7000
+    assert summary["reason"] == "circuit does not recompose to the element"
+
+
+@pytest.mark.parametrize("layer_id", [5, 576])
+def test_group_verify_checks_the_table_layers(capsys, monkeypatch, layer_id):
+    """A table Layer that differs from the one its id names fails at the
+    lowest element whose circuit uses that id."""
+    table = copy.copy(cli.clifford_table())
+    layers = list(table.layers)
+    layers[layer_id] = layers[layer_id + 1 if layer_id < 576 else 1]
+    table.layers = tuple(layers)
+    monkeypatch.setattr(cli, "clifford_table", lambda: table)
+    code, summary, err = run_cli(capsys, "group", "verify")
+    first = int(np.flatnonzero((table.layer_ids == layer_id).any(axis=1))[0])
+    # row k < 576 is the pulse layer k alone; 576 is the first
+    # element with an entangling layer
+    assert first == layer_id
+    assert code == 1
+    assert summary["failed_element"] == first
     assert summary["reason"] == "layer ids do not decode to the circuit"
+    assert f"element {first}: layer ids do not decode" in err
 
 
 def test_rb_standard_depolarizing(capsys, tmp_path, depol_config):

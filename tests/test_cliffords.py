@@ -184,7 +184,7 @@ def test_table_and_sampling_match_reference_hashes():
         "sign": _sha256(table.sign_array.astype(np.int8).tobytes()),
         "class": _sha256(table.class_ids.astype(np.int8).tobytes()),
         "inverse": _sha256(table.inverse_indices.astype(np.int64).tobytes()),
-        "circuits": _sha256(repr(table.circuits).encode()),
+        "circuits": _sha256(repr(list(table.circuits)).encode()),
         "families": _sha256(
             repr(rb.sample_sequences(rb.RBConfig(), table)).encode()),
     }
@@ -277,7 +277,7 @@ def test_layer_ids_decode_to_circuits():
     assert not ids.flags.writeable
     decoded = [tuple(table.layers[i] for i in row if i)
                for row in ids.tolist()]
-    assert decoded == table.circuits
+    assert decoded == list(table.circuits)
     # padding only trails the layers
     present = ids != 0
     assert not np.any(~present[:, :-1] & present[:, 1:])
@@ -292,6 +292,29 @@ def test_layer_ids_decode_to_circuits():
                 layer = table.layers[24 * i + j]
                 assert layer == single_qubit_layer(wa, wb)
                 assert layer.perm() == table.elements[24 * i + j]
+
+
+def test_circuits_view_decodes_rows_on_access():
+    """table.circuits is a read-only sequence that decodes a row of
+    layer ids when indexed; no circuit list is stored."""
+    table = clifford_table()
+    circuits = table.circuits
+    assert len(circuits) == len(table) == 11520
+    assert not isinstance(circuits, (list, tuple))
+    assert circuits[-1] == circuits[11519] == circuits[np.int16(11519)]
+    assert circuits[-11520] == circuits[0]
+    assert circuits[table.index_of(zx_perm())] == (Layer("zx"),)
+    assert circuits[np.int64(24)] == (table.layers[24],)
+    with pytest.raises(IndexError):
+        circuits[11520]
+    with pytest.raises(IndexError):
+        circuits[-11521]
+    with pytest.raises(TypeError):
+        circuits[0] = ()
+    assert circuits[7000] == tuple(table.layers[i]
+                                   for i in table.layer_ids[7000] if i)
+    assert len(table.elements) == len(table)
+    assert table.elements[-1] == table.elements[11519]
 
 
 def test_layer_rows_equal_layer_perm():

@@ -13,7 +13,6 @@ import pytest
 from rbsim import device as dev
 from rbsim import fit, pauli, rb
 from rbsim.cliffords import (
-    Layer,
     SignedPauliPerm,
     ZX_UNITARY,
     clifford_table,
@@ -263,8 +262,6 @@ def test_campaigns_match_reference_hashes(table):
             rb.run_rb(cfg, table, noise, spam))
         got["interleaved", shots] = _survival_hash(
             rb.run_interleaved(cfg, table, noise, gate, spam))
-        got["bare", shots] = _survival_hash(rb.run_interleaved(
-            cfg, table, noise, gate, spam, gate_circuit=(Layer("zx"),)))
         result = rb.run_simultaneous(cfg, noise, spam)
         for key, ds in result.datasets.items():
             got[key, shots] = _survival_hash(ds)
@@ -273,8 +270,6 @@ def test_campaigns_match_reference_hashes(table):
                             "e09da68c6feaa854816086974db32872",
         ("interleaved", None): "524aab3a2b4e331b1210393bfcb2aecf"
                                "d8fd82cd82f2f52d34356e297c042279",
-        ("bare", None): "524aab3a2b4e331b1210393bfcb2aecf"
-                        "d8fd82cd82f2f52d34356e297c042279",
         ("alpha1", None): "548876bedf2b5b7eb2707562370bde27"
                           "8a4953b912f281c3556c909fdca61980",
         ("alpha2", None): "d85107d44aba7e8a7ca32e6fa6477617"
@@ -289,8 +284,6 @@ def test_campaigns_match_reference_hashes(table):
                             "85af91542fa9bbec36198f1f5794c746",
         ("interleaved", 1000): "838af60aeac25eea828fbbb2224992f2"
                                "101bad2c33f1bbaf963037ea4a9438bc",
-        ("bare", 1000): "838af60aeac25eea828fbbb2224992f2"
-                        "101bad2c33f1bbaf963037ea4a9438bc",
         ("alpha1", 1000): "de5f75eb2a5c38eb74b88cff95c39f6b"
                           "b57f7ada6b99abafa6ad44ba78ec9637",
         ("alpha2", 1000): "0fbbc4d0fc8e227df7304f4eca4e43b3"
@@ -356,23 +349,6 @@ def test_interleaved_rejects_non_clifford(table):
         rb.run_interleaved(cfg, table, noise, t_gate)
     with pytest.raises(ValueError):
         rb.run_interleaved(cfg, table, noise, len(table))
-
-
-def test_interleaved_circuit_override(table):
-    """A bare entangling layer can stand in for the table's circuit of
-    the same element; a mismatched override is rejected."""
-    params = dev.DeviceParams()
-    noise = rb.DeviceNoiseModel(params, table)
-    gate = table.index_of(zx_perm())
-    cfg = rb.RBConfig(lengths=(1, 3), n_sequences=2, shots=None, seed=41)
-    bare = rb.run_interleaved(cfg, table, noise, gate,
-                              gate_circuit=(Layer("zx"),))
-    default = rb.run_interleaved(cfg, table, noise, gate)
-    # the table's circuit of the ZX element is that one layer
-    assert table.circuits[gate] == (Layer("zx"),)
-    assert bare.survivals.tobytes() == default.survivals.tobytes()
-    with pytest.raises(ValueError):
-        rb.run_interleaved(cfg, table, noise, 0, gate_circuit=(Layer("zx"),))
 
 
 # --- simultaneous single-qubit RB -------------------------------------------
