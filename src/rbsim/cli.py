@@ -108,12 +108,12 @@ def _profile(args) -> cfgmod.RunProfile:
         profile.lengths = cfgmod.parse_lengths(args.lengths)
     if getattr(args, "sequences", None) is not None:
         profile.sequences = args.sequences
+    # --shots and --exact set the shot budget of the command that owns it
+    shots_field = "qpt_shots" if args.command == "qpt" else "shots"
     if getattr(args, "shots", None) is not None:
-        profile.shots = args.shots
-        profile.qpt_shots = args.shots
+        setattr(profile, shots_field, args.shots)
     if getattr(args, "exact", False):
-        profile.shots = None
-        profile.qpt_shots = None
+        setattr(profile, shots_field, None)
     if getattr(args, "gate", None) is not None:
         profile.interleaved_gate = args.gate
     if getattr(args, "target", None) is not None:

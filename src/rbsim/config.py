@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import device as dev
-from . import rb
+from . import fit, rb
 
 
 class ConfigError(ValueError):
@@ -211,6 +211,8 @@ def load_profile(path: str | None = None) -> RunProfile:
 
 def validate(profile: RunProfile) -> None:
     """Raise ConfigError naming the first field with an invalid value."""
+    if profile.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {profile.seed}")
     if profile.noise_model not in NOISE_MODELS:
         raise ConfigError(
             f"noise_model must be one of {NOISE_MODELS}, "
@@ -238,3 +240,7 @@ def validate(profile: RunProfile) -> None:
         profile.rb_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if len(profile.lengths) < fit.MIN_POINTS:
+        raise ConfigError(
+            f"lengths must hold at least {fit.MIN_POINTS} values to fit "
+            f"the decay, got {len(profile.lengths)}")

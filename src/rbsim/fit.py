@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_ITERATIONS = 200
+MIN_POINTS = 4  # one more than the parameters A, alpha and B
 REL_CHI2_TOL = 1e-10
 
 
@@ -91,8 +92,9 @@ def fit_decay(
     errors = np.asarray(errors, dtype=float)
     if lengths.shape != means.shape or lengths.shape != errors.shape:
         raise ValueError("lengths, means and errors must have equal shapes")
-    if len(lengths) < 4:
-        raise ValueError("need at least 4 points to fit 3 parameters")
+    if len(lengths) < MIN_POINTS:
+        raise ValueError(
+            f"need at least {MIN_POINTS} points to fit 3 parameters")
     if np.any(errors <= 0):
         raise ValueError("error bars must be positive")
 

@@ -17,9 +17,10 @@ Clifford channels the other protocols use.
 Two noise models are provided: DeviceNoiseModel builds per-Clifford
 channels from circuit layers and the device's T1/T2 (the physical
 mode), and InjectedNoiseModel composes a fixed error channel with the
-ideal Clifford action (the analytic-oracle mode).  Each hands a
-campaign three arrays: the stack of the channels its sequences use, the
-interleaved gate's channel and the closing gates' channels.
+ideal Clifford action (the analytic-oracle mode).  A campaign asks a
+model for the channels of one step of all its families at a time, one
+batched product each, and likewise for each length's closing gates; it
+keeps none of them.
 """
 
 from __future__ import annotations
@@ -103,28 +104,21 @@ def depolarizing_ptm(p: float, n_qubits: int = 2) -> np.ndarray:
     return np.diag([1.0] + [p] * (n - 1))
 
 
-# channels built per batched product: small blocks keep the build's
-# temporaries from adding to a command's peak memory
-_BUILD_BLOCK = 64
+class _CliffordChannels:
+    """Clifford channels of a noise model, built where they are used.
 
-
-class _ChannelStack:
-    """Clifford channels of a noise model, built on first use.
-
-    A campaign asks for the channels of all its indices at once
-    (:meth:`channel_stack`) and gets them built in batches into one
-    read-only stack, which the model keeps until a campaign asks for
-    another set.  Single channels (:meth:`clifford_channel`) are kept
-    for the model's life.  Subclasses provide ``_channels(indices,
-    out=None)``: the channels of an index array, written to ``out`` if
-    given, or the one channel of a single index, bit for bit as in any
-    batch.
+    Subclasses provide ``_channels(indices)``: the channels of an index
+    array (shaped ``indices.shape + (16, 16)``) in one batched product,
+    or the one channel of a single index, bit for bit as in any batch.
+    A campaign builds each step's channels and each length's closing
+    gates (:meth:`closing_channels`) this way and keeps none of them.
+    Single channels (:meth:`clifford_channel`) are kept for the model's
+    life.
     """
 
     def __init__(self, table: CliffordTable):
         self.table = table
         self._cache: dict[int, np.ndarray] = {}
-        self._stack: tuple[np.ndarray, np.ndarray] | None = None
 
     def clifford_channel(self, index: int) -> np.ndarray:
         ch = self._cache.get(index)
@@ -134,31 +128,9 @@ class _ChannelStack:
             self._cache[index] = ch
         return ch
 
-    def channel_stack(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        """Channels of the distinct ``indices``, stacked in index order,
-        and the row of each index (shaped like ``indices``)."""
-        unique, rows = np.unique(indices, return_inverse=True)
-        rows = rows.reshape(np.shape(indices))
-        if self._stack is not None and np.array_equal(self._stack[0], unique):
-            return self._stack[1], rows
-        self._stack = None  # let the old stack go before the new is built
-        stack = np.empty((len(unique), 16, 16))
-        for start in range(0, len(unique), _BUILD_BLOCK):
-            block = slice(start, start + _BUILD_BLOCK)
-            self._channels(unique[block], out=stack[block])
-        stack.setflags(write=False)
-        self._stack = (unique, stack)
-        return stack, rows
-
-    def stacks(self, draws, inversions):
-        """(stack, draw rows, inversion stack, inversion rows) of a
-        campaign: its Clifford and closing-gate channels.  Closing gates
-        are noisy Cliffords, so both come from one stack."""
-        stack, rows = self.channel_stack(
-            np.concatenate((np.ravel(draws), np.ravel(inversions))))
-        split = np.size(draws)
-        return (stack, rows[:split].reshape(np.shape(draws)),
-                stack, rows[split:].reshape(np.shape(inversions)))
+    def closing_channels(self, indices) -> np.ndarray:
+        """Channels of the closing gates ``indices``: noisy Cliffords."""
+        return self._channels(indices)
 
 
 def _time_ordered_product(channels) -> np.ndarray:
@@ -174,7 +146,7 @@ def _time_ordered_product(channels) -> np.ndarray:
     return r if len(channels) > 1 else np.add(r, 0.0, order="C")
 
 
-class DeviceNoiseModel(_ChannelStack):
+class DeviceNoiseModel(_CliffordChannels):
     """Per-Clifford channels from circuit layers and device decoherence.
 
     A Clifford's channel is the time-ordered product of its layers'
@@ -218,10 +190,10 @@ class DeviceNoiseModel(_ChannelStack):
             self._heads = acc
         return self._heads
 
-    def _channels(self, indices, out=None) -> np.ndarray:
+    def _channels(self, indices) -> np.ndarray:
         _, head_of, last = self.table.head_split
         return np.matmul(self._layer_channels()[last[indices]],
-                         self._head_channels()[head_of[indices]], out=out)
+                         self._head_channels()[head_of[indices]])
 
     def interleaved_channel(self, index: int) -> np.ndarray:
         """Channel of the fixed gate: its table circuit's channel."""
@@ -233,7 +205,7 @@ class DeviceNoiseModel(_ChannelStack):
         return self.clifford_channel(24 * i + j)
 
 
-class InjectedNoiseModel(_ChannelStack):
+class InjectedNoiseModel(_CliffordChannels):
     """Ideal Clifford action followed by a fixed error channel.
 
     ``gate_noise`` (default: none) applies to the interleaved gate
@@ -255,16 +227,13 @@ class InjectedNoiseModel(_ChannelStack):
         )
         self.noisy_inversion = noisy_inversion
 
-    def _channels(self, indices, out=None) -> np.ndarray:
-        return np.matmul(self.noise, self.table.ptm(indices), out=out)
+    def _channels(self, indices) -> np.ndarray:
+        return np.matmul(self.noise, self.table.ptm(indices))
 
-    def stacks(self, draws, inversions):
+    def closing_channels(self, indices) -> np.ndarray:
         if self.noisy_inversion:
-            return super().stacks(draws, inversions)
-        stack, rows = self.channel_stack(draws)
-        unique, inv_rows = np.unique(inversions, return_inverse=True)
-        return (stack, rows, self.table.ptm(unique),
-                inv_rows.reshape(np.shape(inversions)))
+            return super().closing_channels(indices)
+        return self.table.ptm(indices)
 
     def interleaved_channel(self, index: int) -> np.ndarray:
         ideal = self.table.ptm(index)
@@ -390,10 +359,11 @@ def _run_families(cfg, draws, inversions, noise, spam, gate=None,
     ``gate`` is the interleaved gate's index, if any.  The states of all
     families advance together, one batched product per step, and every
     truncation is closed and read out through ``readout``, rows over
-    (p00, p01, p10, p11).  With shots, each entry is one binomial draw,
+    (p00, p01, p10, p11).  Each step's channels and each length's
+    closing gates are built where they are used, one batched product
+    for all families.  With shots, each entry is one binomial draw,
     family by family, truncation by truncation and row by row.
     """
-    stack, draw_rows, inv_stack, inv_rows = noise.stacks(draws, inversions)
     gate_ch = None if gate is None else noise.interleaved_channel(gate)
     # (families, 16, 1) columns: each product is the matrix-vector
     # product of one family, as in a per-family loop
@@ -402,11 +372,11 @@ def _run_families(cfg, draws, inversions, noise, spam, gate=None,
     done = 0
     for col, target in enumerate(cfg.lengths):
         for t in range(done, target):
-            x = np.matmul(stack[draw_rows[:, t]], x)
+            x = np.matmul(noise._channels(draws[:, t]), x)
             if gate_ch is not None:
                 x = np.matmul(gate_ch, x)
         done = target
-        y[:, col] = np.matmul(inv_stack[inv_rows[:, col]], x)
+        y[:, col] = np.matmul(noise.closing_channels(inversions[:, col]), x)
     probs = dev.apply_spam(pauli.outcome_probabilities(y), spam)
     out = probs[..., 0] @ np.array(readout).T
     if cfg.shots is not None:
@@ -512,7 +482,7 @@ def run_simultaneous(
     corresponding qubit.  The table is the noise model's.
     """
     spam = spam or dev.SpamModel.ideal()
-    stacks: dict[str, np.ndarray] = {}
+    readouts: dict[str, np.ndarray] = {}
     for variant, (mask, readout) in _VARIANTS.items():
         draws = np.stack([
             _family_rng(cfg.seed, fam).integers(
@@ -520,7 +490,7 @@ def run_simultaneous(
             for fam in range(cfg.n_sequences)
         ])
         bases = 24 * draws[..., 0] + draws[..., 1]
-        stacks[variant] = _run_families(
+        readouts[variant] = _run_families(
             cfg, bases, _inversions(noise.table, cfg.lengths, bases), noise,
             spam, readout=readout)
 
@@ -528,12 +498,12 @@ def run_simultaneous(
         return DecayDataset(tag, cfg.seed, tuple(cfg.lengths), block, cfg.shots)
 
     datasets = {
-        "alpha1": dataset("simultaneous_q1", stacks["q1"][:, 0, :]),
-        "alpha2": dataset("simultaneous_q2", stacks["q2"][:, 0, :]),
-        "joint_q1": dataset("simultaneous_joint_q1", stacks["both"][:, 0, :]),
-        "joint_q2": dataset("simultaneous_joint_q2", stacks["both"][:, 1, :]),
+        "alpha1": dataset("simultaneous_q1", readouts["q1"][:, 0, :]),
+        "alpha2": dataset("simultaneous_q2", readouts["q2"][:, 0, :]),
+        "joint_q1": dataset("simultaneous_joint_q1", readouts["both"][:, 0, :]),
+        "joint_q2": dataset("simultaneous_joint_q2", readouts["both"][:, 1, :]),
         "joint_parity": dataset(
-            "simultaneous_joint_parity", stacks["both"][:, 2, :]
+            "simultaneous_joint_parity", readouts["both"][:, 2, :]
         ),
     }
     result = SimultaneousResult(datasets=datasets)
@@ -590,7 +560,7 @@ def coherence_limit_r(
 
     When stripping changes nothing (a calibrated device without residual
     drive terms, at the measured T2), ``noise`` itself is reused with
-    the channels it has already built.
+    the layer and head channels it has already built.
     """
     params = decoherence_only_params(noise.params, t1_limited)
     limit = (noise if params == noise.params

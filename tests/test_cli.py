@@ -327,14 +327,45 @@ def test_flags_are_validated_like_config_values(capsys):
     cases = [
         (("rb", "standard", "--sequences", "0"), "sequence"),
         (("qpt", "--shots", "-5"), "shots"),
+        (("rb", "standard", "--shots", "0"), "shots"),
         (("sweep", "tau2", "--points", "1"), "tau2_points"),
         (("sweep", "cr-rabi", "--points", "0"), "rabi_points"),
+        (("rb", "standard", "--lengths", "1-3"), "lengths"),
     ]
     for argv, field in cases:
         code, summary, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert summary is None
         assert field in err
+        # each flag is checked as the field of the command that owns it
+        assert ("qpt" in err) == (argv[0] == "qpt"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "stats"),
+    ("rb", "standard"),
+    ("qpt",),
+    ("sweep", "cr-rabi", "--points", "3"),
+])
+def test_negative_seed_is_rejected_by_name(capsys, argv):
+    code, summary, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, summary) == (1, None)
+    assert "seed must be non-negative" in err
+
+
+def test_shots_flags_set_only_the_owning_command():
+    """--shots/--exact set qpt_shots for qpt and shots for the others."""
+    parser = cli.build_parser()
+    default = cli.cfgmod.RunProfile()
+    cases = [
+        (["qpt", "--shots", "7"], (default.shots, 7)),
+        (["rb", "standard", "--shots", "7"], (7, default.qpt_shots)),
+        (["sweep", "tau2", "--exact"], (None, default.qpt_shots)),
+        (["qpt", "--exact"], (default.shots, None)),
+    ]
+    for argv, expected in cases:
+        profile = cli._profile(parser.parse_args(argv))
+        assert (profile.shots, profile.qpt_shots) == expected, argv
 
 
 def test_seed_in_every_summary(capsys, depol_config):

@@ -123,6 +123,15 @@ def test_rejects_bad_profiles(tmp_path, text):
         cfg.load_profile(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[run]\nseed = -1\n", "seed must be non-negative"),
+    ("[rb]\nlengths = 1-3\n", "lengths must hold at least 4 values"),
+])
+def test_rejections_name_the_field(tmp_path, text, message):
+    with pytest.raises(cfg.ConfigError, match=message):
+        cfg.load_profile(_write(tmp_path, text))
+
+
 def test_missing_file():
     with pytest.raises(cfg.ConfigError):
         cfg.load_profile("/nonexistent/run.ini")

@@ -6,6 +6,7 @@ when the inversion is ideal, with one extra factor of p when it is not.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,20 +228,43 @@ def test_circuit_channel_equals_identity_started_product(table):
     dev.DeviceParams().with_calibration(1e-9),
 ], ids=["default", "t1_limited", "residual_ix", "tau2_zero"])
 def test_built_channels_equal_circuit_channel_bit_for_bit(table, params):
-    """The batched fold over layer ids and the one-at-a-time build both
-    reproduce the gate_channel product of every element's circuit."""
+    """The batched product over layer and head channels reproduces the
+    gate_channel product of every element's circuit, whether it is asked
+    for one index, a step's column of indices or a 2-D block of them."""
     noise = rb.DeviceNoiseModel(params, table)
     expected = np.stack([noise.circuit_channel(c) for c in table.circuits])
     everything = np.arange(len(table))
-    stack, rows = noise.channel_stack(everything[::-1])
-    np.testing.assert_array_equal(rows, everything[::-1])
-    assert stack.tobytes() == expected.tobytes()
-    assert not stack.flags.writeable
-    # the same stack again is not rebuilt
-    assert noise.channel_stack(everything)[0] is stack
+    assert (noise._channels(everything[::-1]).tobytes()
+            == expected[::-1].tobytes())
+    # a (steps, families) block read as (families, steps), as the engine
+    # reads its draws, non-contiguous
+    block = everything.reshape(-1, 40).T
+    assert (noise._channels(block).tobytes()
+            == expected.reshape(-1, 40, 16, 16).transpose(1, 0, 2, 3)
+            .tobytes())
+    assert np.stack([noise._channels(k)
+                     for k in everything]).tobytes() == expected.tobytes()
     single = rb.DeviceNoiseModel(params, table)
     assert np.stack([single.clifford_channel(k)
                      for k in everything]).tobytes() == expected.tobytes()
+
+
+def test_campaign_keeps_no_channel_stack(table):
+    """A default campaign builds each step's channels where it uses them:
+    with the layer and head channels and the draw already made, it peaks
+    far below the ~3 MB that a stack of its ~1,500 channels would take."""
+    cfg = rb.RBConfig()
+    noise = rb.DeviceNoiseModel(dev.DeviceParams(), table)
+    noise._head_channels()
+    rb.sample_sequences(cfg, table)
+    np.random.default_rng(0)  # the first call imports numpy.random
+    tracemalloc.start()
+    try:
+        rb.run_rb(cfg, table, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _survival_hash(ds):
@@ -297,20 +321,27 @@ def test_campaigns_match_reference_hashes(table):
     }
 
 
-def test_coherence_limit_reuses_an_unchanged_model(table):
+def test_coherence_limit_reuses_an_unchanged_model(table, monkeypatch):
     cfg = _small_cfg(n_sequences=3)
     params = dev.DeviceParams().with_calibration()
     assert rb.decoherence_only_params(params) == params
+    built = []
+    layer_channels = dev.layer_channels
+    monkeypatch.setattr(dev, "layer_channels",
+                        lambda p, t: built.append(p) or layer_channels(p, t))
     for t1_limited in (False, True):
+        built.clear()
         noise = rb.DeviceNoiseModel(params, table)
+        rb.run_rb(cfg, table, noise)
         r, result = rb.coherence_limit_r(cfg, noise, t1_limited=t1_limited)
+        # only the unchanged (measured-T2) limit runs on noise's layer
+        # channels; the 2*T1 limit builds its own
+        assert len(built) == (2 if t1_limited else 1)
         fresh = rb.DeviceNoiseModel(
             rb.decoherence_only_params(params, t1_limited), table)
         expected = rb.fit_dataset(rb.run_rb(cfg, table, fresh))
         assert result == expected
         assert r == fit.error_per_clifford(expected.alpha)
-        # only the unchanged (measured-T2) limit runs on noise's channels
-        assert (noise._stack is not None) is not t1_limited
 
 
 # --- interleaved ------------------------------------------------------------
