@@ -188,7 +188,7 @@ def cmd_group_verify(args) -> int:
     # the first of its checks that fails.  Each layer id's Layer and
     # exact action are made here from the pulse words and gates, and the
     # circuits are folded from their layer ids.  The table's own layers
-    # must equal these: device.layer_channels reads their durations.
+    # must equal these: device.pulse_layer_channels reads their durations.
     _, words = c1_elements()
     layers = [single_qubit_layer(wa, wb) for wa in words for wb in words]
     layers.append(Layer("zx"))
@@ -409,8 +409,6 @@ def cmd_qpt(args) -> int:
 
 def cmd_sweep_cr_rabi(args) -> int:
     profile = _profile(args)
-    if profile.rabi_stop <= profile.rabi_start:
-        raise CliError("sweep stop must exceed start")
     params = profile.device
     taus = np.linspace(profile.rabi_start, profile.rabi_stop,
                        profile.rabi_points)
@@ -448,8 +446,6 @@ def cmd_sweep_cr_rabi(args) -> int:
 
 def cmd_sweep_tau2(args) -> int:
     profile = _profile(args)
-    if profile.tau2_stop <= profile.tau2_start or profile.tau2_start < 0:
-        raise CliError("tau2 grid must be non-negative and increasing")
     table = clifford_table()
     grid = np.linspace(profile.tau2_start, profile.tau2_stop,
                        profile.tau2_points)
@@ -461,20 +457,17 @@ def cmd_sweep_tau2(args) -> int:
         # angle is fixed at pi/4 while the segments shrink, leaving only
         # the two echo pulses' worth of decoherence in the layer.
         params = profile.device.with_calibration(max(float(tau2), 1e-9))
-        noise = rb.DeviceNoiseModel(params, table)
-        result = rb.fit_dataset(rb.run_rb(cfg, table, noise, profile.spam))
-        r_limit_t2, limit_fit = rb.coherence_limit_r(cfg, noise)
-        r_limit_2t1, ceiling_fit = rb.coherence_limit_r(
-            cfg, noise, t1_limited=True
-        )
+        point = rb.sweep_point(cfg, rb.DeviceNoiseModel(params, table),
+                               profile.spam)
+        result, limit_fit, ceiling_fit = map(rb.fit_dataset, point)
         all_converged &= (result.converged and limit_fit.converged
                           and ceiling_fit.converged)
         rows.append({
             "tau2_ns": float(tau2),
             "r": fit.error_per_clifford(result.alpha),
             "r_sigma": fit.error_per_clifford_sigma(result.alpha_sigma),
-            "r_limit_t2": r_limit_t2,
-            "r_limit_2t1": r_limit_2t1,
+            "r_limit_t2": fit.error_per_clifford(limit_fit.alpha),
+            "r_limit_2t1": fit.error_per_clifford(ceiling_fit.alpha),
             "alpha": result.alpha,
             "converged": result.converged,
             "seed": cfg.seed,
@@ -497,17 +490,24 @@ def cmd_sweep_tau2(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-def _add_run_options(p, rb_options: bool = False) -> None:
+def _add_run_options(p) -> None:
     p.add_argument("--config", help="INI run profile")
     p.add_argument("--seed", type=int, help="campaign seed")
     p.add_argument("--out", help="directory for CSV/JSON artifacts")
-    if rb_options:
-        p.add_argument("--exact", action="store_true",
-                       help="exact probabilities instead of sampled shots")
-        p.add_argument("--shots", type=int, help="shots per data point")
-        p.add_argument("--lengths",
-                       help="sequence lengths, e.g. 1-20 or 1,2,4,8")
-        p.add_argument("--sequences", type=int, help="sequences per length")
+
+
+def _add_shot_options(p) -> None:
+    p.add_argument("--exact", action="store_true",
+                   help="exact probabilities instead of sampled shots")
+    p.add_argument("--shots", type=int, help="shots per data point")
+
+
+def _add_campaign_options(p) -> None:
+    """Run and shot options plus the RB campaign's lengths and sequences."""
+    _add_run_options(p)
+    _add_shot_options(p)
+    p.add_argument("--lengths", help="sequence lengths, e.g. 1-20 or 1,2,4,8")
+    p.add_argument("--sequences", type=int, help="sequences per length")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,18 +531,19 @@ def build_parser() -> argparse.ArgumentParser:
     rb_cmd = sub.add_parser("rb", help="randomized benchmarking")
     rb_sub = rb_cmd.add_subparsers(dest="subcommand", required=True)
     standard = rb_sub.add_parser("standard", help="two-qubit decay")
-    _add_run_options(standard, rb_options=True)
+    _add_campaign_options(standard)
     standard.set_defaults(func=cmd_rb_standard)
     inter = rb_sub.add_parser("interleaved", help="fixed-gate error bound")
-    _add_run_options(inter, rb_options=True)
+    _add_campaign_options(inter)
     inter.add_argument("--gate", choices=cfgmod.GATE_NAMES, default=None)
     inter.set_defaults(func=cmd_rb_interleaved)
     simul = rb_sub.add_parser("simultaneous", help="one-qubit protocols")
-    _add_run_options(simul, rb_options=True)
+    _add_campaign_options(simul)
     simul.set_defaults(func=cmd_rb_simultaneous)
 
     qpt = sub.add_parser("qpt", help="process tomography")
-    _add_run_options(qpt, rb_options=True)
+    _add_run_options(qpt)
+    _add_shot_options(qpt)
     qpt.add_argument("--target", choices=cfgmod.GATE_NAMES + ("identity",),
                      default=None)
     qpt.add_argument("--spam-aware", action="store_true",
@@ -559,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     rabi.set_defaults(func=cmd_sweep_cr_rabi)
     tau2 = sweep_sub.add_parser("tau2",
                                 help="benchmark vs calibrated segment length")
-    _add_run_options(tau2, rb_options=True)
+    _add_campaign_options(tau2)
     tau2.add_argument("--start", type=float, default=None)
     tau2.add_argument("--stop", type=float, default=None)
     tau2.add_argument("--points", type=int, default=None)

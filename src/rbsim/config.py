@@ -236,6 +236,12 @@ def validate(profile: RunProfile) -> None:
             raise ConfigError(f"{name} must be at least 2")
     if profile.tau2_start < 0:
         raise ConfigError("tau2_start must be non-negative")
+    for prefix in ("rabi", "tau2"):
+        start = getattr(profile, f"{prefix}_start")
+        stop = getattr(profile, f"{prefix}_stop")
+        if not stop > start:
+            raise ConfigError(f"{prefix}_stop must exceed {prefix}_start, "
+                              f"got {stop} <= {start}")
     try:
         profile.rb_config()
     except ValueError as exc:

@@ -339,22 +339,16 @@ def gate_channel(layer: Layer, p: DeviceParams) -> np.ndarray:
 _LAYER_BLOCK = 64
 
 
-def layer_channels(p: DeviceParams, table: CliffordTable) -> np.ndarray:
-    """Noisy transfer matrices of every layer id of ``table``, stacked.
-
-    Row i is :func:`gate_channel` of ``table.layers[i]``, bit for bit;
-    row 0 (no layer) is the identity.  A pulse layer's exact action is
-    table row i, so the pulse rows of each pulse-slot count are one
-    gather from that count's decoherence part, columns permuted and
-    signed by those rows, 64 layers at a time.  Only the entangling
-    layer goes through :func:`gate_channel`.  The stack is read-only.
-    """
+@functools.lru_cache(maxsize=4)
+def _pulse_rows(table: CliffordTable, t1_1_us: float, t2_1_us: float,
+                t1_2_us: float, t2_2_us: float,
+                t_single_ns: float) -> np.ndarray:
     slots = np.array([0 if layer is None else layer.n_slots
                       for layer in table.layers[:ZX_LAYER_ID]])
     stack = np.empty((ZX_LAYER_ID + 1, 16, 16))
     for n in range(slots.max() + 1):
-        decay = decoherence_ptm(p.t1_1_us, p.t2_1_us, p.t1_2_us, p.t2_2_us,
-                                n * p.t_single_ns)
+        decay = decoherence_ptm(t1_1_us, t2_1_us, t1_2_us, t2_2_us,
+                                n * t_single_ns)
         ids = np.flatnonzero(slots == n)
         for start in range(0, len(ids), _LAYER_BLOCK):
             block = ids[start:start + _LAYER_BLOCK]
@@ -363,6 +357,36 @@ def layer_channels(p: DeviceParams, table: CliffordTable) -> np.ndarray:
             gathered = decay[:, table.perm_array[block]]
             stack[block] = (gathered.transpose(1, 0, 2)
                             * table.sign_array[block, None, :])
+    stack[ZX_LAYER_ID] = np.nan
+    stack.setflags(write=False)
+    return stack
+
+
+def pulse_layer_channels(p: DeviceParams, table: CliffordTable) -> np.ndarray:
+    """Noisy transfer matrices of the pulse layer ids of ``table``: the
+    read-only ``(577, 16, 16)`` stack of :func:`layer_channels` with row
+    ZX_LAYER_ID left NaN.
+
+    Pulse layers depend only on the T1/T2 values and the pulse length,
+    so the rows are made once per (T1, T2, t_single) set, for the last
+    four sets used, and shared by every caller with those values.  A
+    pulse layer's exact action is table row i, so the rows of each
+    pulse-slot count are one gather from that count's decoherence part,
+    columns permuted and signed by those rows, 64 layers at a time.
+    """
+    return _pulse_rows(table, p.t1_1_us, p.t2_1_us, p.t1_2_us, p.t2_2_us,
+                       p.t_single_ns)
+
+
+def layer_channels(p: DeviceParams, table: CliffordTable) -> np.ndarray:
+    """Noisy transfer matrices of every layer id of ``table``, stacked.
+
+    Row i is :func:`gate_channel` of ``table.layers[i]``, bit for bit;
+    row 0 (no layer) is the identity.  The pulse rows are those of
+    :func:`pulse_layer_channels`, and only the entangling layer goes
+    through :func:`gate_channel`.  The stack is a new read-only array.
+    """
+    stack = pulse_layer_channels(p, table).copy()
     stack[ZX_LAYER_ID] = gate_channel(Layer("zx"), p)
     stack.setflags(write=False)
     return stack

@@ -9,7 +9,10 @@ All three protocols run on one engine: the truncations of one random
 draw share its prefix, which is propagated once; each truncation is
 closed by its exact group inverse and read out through one or more rows
 over the outcome probabilities (p00, p01, p10, p11).  The families of a
-campaign advance together, one batched product per step.  Simultaneous
+campaign advance together, one batched product per step.  Propagation
+and read-out are two steps, so one chain's closed states can be read
+out again: a tau2 sweep point reads its measured-T2 limit out of the
+device campaign's chain when the two are the same.  Simultaneous
 RB draws from the subgroup C1 x C1, which the table holds at indices
 24*i + j (i on qubit 1, j on qubit 2), so it needs nothing beyond the
 Clifford channels the other protocols use.
@@ -35,7 +38,8 @@ import numpy as np
 
 from . import device as dev
 from . import fit, pauli
-from .cliffords import CliffordTable, Circuit, SignedPauliPerm
+from .cliffords import (ZX_LAYER_ID, CliffordTable, Circuit, Layer,
+                        SignedPauliPerm)
 
 DEFAULT_LENGTHS = tuple(range(1, 21))
 
@@ -150,9 +154,12 @@ class DeviceNoiseModel(_CliffordChannels):
     """Per-Clifford channels from circuit layers and device decoherence.
 
     A Clifford's channel is the time-ordered product of its layers'
-    noisy transfer matrices.  The model makes the matrix of every layer
-    id once (:func:`device.layer_channels`), then the product of each of
-    the table's few distinct circuit heads (``table.head_split``: each
+    noisy transfer matrices.  The pulse layers' matrices depend only on
+    the T1/T2 values and the pulse length, so the model gathers them
+    from rows shared by every model with those values
+    (:func:`device.pulse_layer_channels`) and keeps only its own
+    entangling layer's matrix.  It folds the product of each of the
+    table's few distinct circuit heads once (``table.head_split``: each
     circuit without its last layer), so every channel is one product,
     its last layer's matrix times its head's.  Only the channels a
     campaign needs are built.  The result is bit for bit
@@ -162,7 +169,8 @@ class DeviceNoiseModel(_CliffordChannels):
     def __init__(self, params: dev.DeviceParams, table: CliffordTable):
         super().__init__(table)
         self.params = params
-        self._layers: np.ndarray | None = None
+        self._pulses: np.ndarray | None = None
+        self._zx: np.ndarray | None = None
         self._heads: np.ndarray | None = None
 
     def circuit_channel(self, circuit: Circuit) -> np.ndarray:
@@ -171,10 +179,19 @@ class DeviceNoiseModel(_CliffordChannels):
         return _time_ordered_product(
             [dev.gate_channel(layer, self.params) for layer in circuit])
 
-    def _layer_channels(self) -> np.ndarray:
-        if self._layers is None:
-            self._layers = dev.layer_channels(self.params, self.table)
-        return self._layers
+    def _layer_channels(self, ids) -> np.ndarray:
+        """Channels of the layer ids ``ids``, a new array: a gather from
+        the shared pulse rows, with the model's entangling-layer channel
+        written where an id is ZX_LAYER_ID.  ``take`` always copies, so
+        no index yields a writable view of the shared rows."""
+        if self._pulses is None:
+            self._pulses = dev.pulse_layer_channels(self.params, self.table)
+            self._zx = dev.gate_channel(Layer("zx"), self.params)
+        out = self._pulses.take(ids, axis=0)
+        zx = ids == ZX_LAYER_ID
+        if zx.any():
+            out[zx] = self._zx
+        return out
 
     def _head_channels(self) -> np.ndarray:
         """Channel of each distinct head, folded over its layer ids with
@@ -182,17 +199,16 @@ class DeviceNoiseModel(_CliffordChannels):
         layer, and a product with it changes no bit but -0.0 into +0.0,
         as _time_ordered_product does for one-layer circuits."""
         if self._heads is None:
-            layers = self._layer_channels()
             heads = self.table.head_split[0]
-            acc = layers[heads[:, 0]]
+            acc = self._layer_channels(heads[:, 0])
             for column in heads.T[1:]:
-                acc = np.matmul(layers[column], acc)
+                acc = np.matmul(self._layer_channels(column), acc)
             self._heads = acc
         return self._heads
 
     def _channels(self, indices) -> np.ndarray:
         _, head_of, last = self.table.head_split
-        return np.matmul(self._layer_channels()[last[indices]],
+        return np.matmul(self._layer_channels(last[indices]),
                          self._head_channels()[head_of[indices]])
 
     def interleaved_channel(self, index: int) -> np.ndarray:
@@ -350,34 +366,42 @@ _OBS_Q2 = np.array([1.0, 0.0, 1.0, 0.0])   # qubit 2 ground
 _OBS_PARITY = np.array([1.0, 0.0, 0.0, 1.0])
 
 
-def _run_families(cfg, draws, inversions, noise, spam, gate=None,
-                  readout=(_P00,)) -> np.ndarray:
-    """Readouts of every family, shape (lengths, rows, sequences).
+def _propagate(lengths, draws, inversions, noise, state,
+               gate=None) -> np.ndarray:
+    """Closed states of every truncation, shape (families, lengths, 16,
+    1), from the initial Pauli vector ``state``.
 
     ``draws`` holds each family's Clifford indices (families, max
     length) and ``inversions`` its closing gates (families, lengths);
     ``gate`` is the interleaved gate's index, if any.  The states of all
-    families advance together, one batched product per step, and every
-    truncation is closed and read out through ``readout``, rows over
-    (p00, p01, p10, p11).  Each step's channels and each length's
-    closing gates are built where they are used, one batched product
-    for all families.  With shots, each entry is one binomial draw,
-    family by family, truncation by truncation and row by row.
+    families advance together, one batched product per step, and each
+    step's channels and each length's closing gates are built where they
+    are used, one batched product for all families.
     """
     gate_ch = None if gate is None else noise.interleaved_channel(gate)
     # (families, 16, 1) columns: each product is the matrix-vector
     # product of one family, as in a per-family loop
-    x = np.tile(spam.initial_state()[:, None], (len(draws), 1, 1))
-    y = np.empty((len(draws), len(cfg.lengths), 16, 1))
+    x = np.tile(state[:, None], (len(draws), 1, 1))
+    closed = np.empty((len(draws), len(lengths), 16, 1))
     done = 0
-    for col, target in enumerate(cfg.lengths):
+    for col, target in enumerate(lengths):
         for t in range(done, target):
             x = np.matmul(noise._channels(draws[:, t]), x)
             if gate_ch is not None:
                 x = np.matmul(gate_ch, x)
         done = target
-        y[:, col] = np.matmul(noise.closing_channels(inversions[:, col]), x)
-    probs = dev.apply_spam(pauli.outcome_probabilities(y), spam)
+        closed[:, col] = np.matmul(noise.closing_channels(inversions[:, col]),
+                                   x)
+    return closed
+
+
+def _read_out(cfg, closed, spam, readout=(_P00,)) -> np.ndarray:
+    """Readouts of the closed states of :func:`_propagate`, shape
+    (lengths, rows, sequences): the outcome probabilities (p00, p01,
+    p10, p11) through ``spam``'s confusion matrix, then each row of
+    ``readout``.  With shots, each entry is one binomial draw, family by
+    family, truncation by truncation and row by row."""
+    probs = dev.apply_spam(pauli.outcome_probabilities(closed), spam)
     out = probs[..., 0] @ np.array(readout).T
     if cfg.shots is not None:
         for fam in range(len(out)):
@@ -387,11 +411,20 @@ def _run_families(cfg, draws, inversions, noise, spam, gate=None,
     return np.ascontiguousarray(out.transpose(1, 2, 0))
 
 
-def _family_arrays(families) -> tuple[np.ndarray, np.ndarray]:
-    """(draws, inversions) arrays of sampled families."""
-    return (np.array([family[-1].indices for family in families]),
-            np.array([[seq.inversion for seq in family]
-                      for family in families]))
+def _campaign_states(cfg, table, noise, state, gate=None) -> np.ndarray:
+    """Closed states of a standard campaign, or of an interleaved one
+    with the gate index ``gate``, on its sampled families."""
+    families = sample_sequences(cfg, table, interleaved=gate)
+    draws = np.array([family[-1].indices for family in families])
+    inversions = np.array([[seq.inversion for seq in family]
+                           for family in families])
+    return _propagate(cfg.lengths, draws, inversions, noise, state, gate)
+
+
+def _survivals(protocol, cfg, closed, spam) -> DecayDataset:
+    """Two-qubit survival dataset read out of closed states."""
+    return DecayDataset(protocol, cfg.seed, tuple(cfg.lengths),
+                        _read_out(cfg, closed, spam)[:, 0, :], cfg.shots)
 
 
 def run_rb(
@@ -402,11 +435,8 @@ def run_rb(
 ) -> DecayDataset:
     """Standard two-qubit RB campaign."""
     spam = spam or dev.SpamModel.ideal()
-    families = sample_sequences(cfg, table)
-    survivals = _run_families(cfg, *_family_arrays(families), noise,
-                              spam)[:, 0, :]
-    return DecayDataset("standard", cfg.seed, tuple(cfg.lengths), survivals,
-                        cfg.shots)
+    closed = _campaign_states(cfg, table, noise, spam.initial_state())
+    return _survivals("standard", cfg, closed, spam)
 
 
 def run_interleaved(
@@ -427,11 +457,9 @@ def run_interleaved(
             gate = SignedPauliPerm.from_unitary(gate)
         gate_index = table.index_of(gate)
     spam = spam or dev.SpamModel.ideal()
-    families = sample_sequences(cfg, table, interleaved=gate_index)
-    survivals = _run_families(cfg, *_family_arrays(families), noise, spam,
-                              gate_index)[:, 0, :]
-    return DecayDataset("interleaved", cfg.seed, tuple(cfg.lengths),
-                        survivals, cfg.shots)
+    closed = _campaign_states(cfg, table, noise, spam.initial_state(),
+                              gate_index)
+    return _survivals("interleaved", cfg, closed, spam)
 
 
 # --- simultaneous single-qubit RB ------------------------------------------
@@ -477,22 +505,24 @@ def run_simultaneous(
 
     Each step draws a pair (i, j) of one-qubit Cliffords, the table
     element 24*i + j; the idle qubit's draw is zeroed (the identity)
-    in the one-qubit variants.  The same seed is reused per variant so
-    the q1/q2 runs see the same random words as the joint run's
-    corresponding qubit.  The table is the noise model's.
+    in the one-qubit variants.  Each family's words are drawn once and
+    masked per variant, so the q1/q2 runs see the same random words as
+    the joint run's corresponding qubit.  The table is the noise
+    model's.
     """
     spam = spam or dev.SpamModel.ideal()
+    words = np.stack([
+        _family_rng(cfg.seed, fam).integers(0, 24, size=(cfg.lengths[-1], 2))
+        for fam in range(cfg.n_sequences)
+    ])
     readouts: dict[str, np.ndarray] = {}
     for variant, (mask, readout) in _VARIANTS.items():
-        draws = np.stack([
-            _family_rng(cfg.seed, fam).integers(
-                0, 24, size=(cfg.lengths[-1], 2)) * mask
-            for fam in range(cfg.n_sequences)
-        ])
+        draws = words * mask
         bases = 24 * draws[..., 0] + draws[..., 1]
-        readouts[variant] = _run_families(
-            cfg, bases, _inversions(noise.table, cfg.lengths, bases), noise,
-            spam, readout=readout)
+        closed = _propagate(cfg.lengths, bases,
+                            _inversions(noise.table, cfg.lengths, bases),
+                            noise, spam.initial_state())
+        readouts[variant] = _read_out(cfg, closed, spam, readout)
 
     def dataset(tag, block):
         return DecayDataset(tag, cfg.seed, tuple(cfg.lengths), block, cfg.shots)
@@ -542,6 +572,29 @@ def decoherence_only_params(params: dev.DeviceParams,
     return clean.with_calibration()
 
 
+def _limit_dataset(cfg: RBConfig, noise: DeviceNoiseModel,
+                   t1_limited: bool = False,
+                   closed: np.ndarray | None = None) -> DecayDataset:
+    """Exact-probability, ideal-SPAM RB dataset under decoherence alone.
+
+    When stripping changes nothing (a calibrated device without residual
+    drive terms, at the measured T2), the limit is ``noise``'s own
+    chain: ``closed``, the closed states of ``noise``'s campaign from
+    the ideal initial state, are read out again if given, and otherwise
+    ``noise`` propagates them with the layer and head channels it has
+    already built.
+    """
+    params = decoherence_only_params(noise.params, t1_limited)
+    exact_cfg = dataclasses.replace(cfg, shots=None)
+    ideal = dev.SpamModel.ideal()
+    if params != noise.params:
+        noise, closed = DeviceNoiseModel(params, noise.table), None
+    if closed is None:
+        closed = _campaign_states(exact_cfg, noise.table, noise,
+                                  ideal.initial_state())
+    return _survivals("standard", exact_cfg, closed, ideal)
+
+
 def coherence_limit_r(
     cfg: RBConfig,
     noise: DeviceNoiseModel,
@@ -557,17 +610,34 @@ def coherence_limit_r(
     static block of the same length.  Running the actual protocol with
     the stripped-down noise model keeps the limit curve consistent with
     what the simulator reports for a coherently perfect device.
-
-    When stripping changes nothing (a calibrated device without residual
-    drive terms, at the measured T2), ``noise`` itself is reused with
-    the layer and head channels it has already built.
     """
-    params = decoherence_only_params(noise.params, t1_limited)
-    limit = (noise if params == noise.params
-             else DeviceNoiseModel(params, noise.table))
-    exact_cfg = dataclasses.replace(cfg, shots=None)
-    result = fit_dataset(run_rb(exact_cfg, noise.table, limit))
+    result = fit_dataset(_limit_dataset(cfg, noise, t1_limited))
     return fit.error_per_clifford(result.alpha), result
+
+
+def sweep_point(
+    cfg: RBConfig,
+    noise: DeviceNoiseModel,
+    spam: dev.SpamModel | None = None,
+) -> tuple[DecayDataset, DecayDataset, DecayDataset]:
+    """Datasets of one tau2 grid point: the device campaign of ``noise``
+    and its decoherence-only limits at the measured T2 and at T2 = 2*T1
+    (:func:`coherence_limit_r`'s datasets), each chain propagated once.
+
+    The measured-T2 limit is the device's own chain when stripping
+    changes nothing and ``spam`` prepares the ideal initial state; it
+    then reads the device campaign's closed states out again, exactly
+    and with ideal SPAM.  Otherwise (thermal preparation, residual
+    drive terms) it propagates its own chain.
+    """
+    spam = spam or dev.SpamModel.ideal()
+    state = spam.initial_state()
+    closed = _campaign_states(cfg, noise.table, noise, state)
+    shared = (closed if state.tobytes()
+              == dev.SpamModel.ideal().initial_state().tobytes() else None)
+    return (_survivals("standard", cfg, closed, spam),
+            _limit_dataset(cfg, noise, closed=shared),
+            _limit_dataset(cfg, noise, t1_limited=True))
 
 
 # --- persistence -----------------------------------------------------------

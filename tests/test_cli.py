@@ -309,6 +309,22 @@ def test_sweep_tau2_zero_length_point(capsys):
     assert 0.0 < degenerate["r"] < paper_point["r"]
 
 
+def test_sweep_tau2_does_each_distinct_chain_once(capsys, monkeypatch):
+    """Per grid point, the measured-T2 limit reads out the device chain
+    and only the 2*T1 limit propagates: 6 chains for 3 points, not 9.
+    The pulse-layer rows are made once per T1/T2 set: the measured one
+    and the 2*T1 one."""
+    calls = []
+    propagate = rb._propagate
+    monkeypatch.setattr(rb, "_propagate",
+                        lambda *a, **k: calls.append(1) or propagate(*a, **k))
+    dev._pulse_rows.cache_clear()
+    code, _, _ = run_cli(capsys, "sweep", "tau2", "--points", "3")
+    assert code == 0
+    assert len(calls) == 6
+    assert dev._pulse_rows.cache_info().misses == 2
+
+
 def test_invalid_inputs_exit_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "rb", "standard", "--lengths", "abc")
     assert code == 1 and "length" in err
@@ -323,6 +339,15 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
     assert code == 1 and "bare" in err
 
 
+def test_qpt_takes_no_campaign_flags(capsys):
+    for flag, value in (("--lengths", "1-20"), ("--sequences", "5")):
+        code, summary, err = run_cli(capsys, "qpt", flag, value)
+        assert (code, summary) == (1, None)
+        assert f"unrecognized arguments: {flag} {value}" in err
+    code, _, _ = run_cli(capsys, "qpt", "--exact")
+    assert code == 0
+
+
 def test_flags_are_validated_like_config_values(capsys):
     cases = [
         (("rb", "standard", "--sequences", "0"), "sequence"),
@@ -330,6 +355,10 @@ def test_flags_are_validated_like_config_values(capsys):
         (("rb", "standard", "--shots", "0"), "shots"),
         (("sweep", "tau2", "--points", "1"), "tau2_points"),
         (("sweep", "cr-rabi", "--points", "0"), "rabi_points"),
+        (("sweep", "tau2", "--start", "300", "--stop", "100"),
+         "tau2_stop must exceed tau2_start"),
+        (("sweep", "cr-rabi", "--start", "300", "--stop", "100"),
+         "rabi_stop must exceed rabi_start"),
         (("rb", "standard", "--lengths", "1-3"), "lengths"),
     ]
     for argv, field in cases:

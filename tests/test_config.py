@@ -126,6 +126,9 @@ def test_rejects_bad_profiles(tmp_path, text):
 @pytest.mark.parametrize("text, message", [
     ("[run]\nseed = -1\n", "seed must be non-negative"),
     ("[rb]\nlengths = 1-3\n", "lengths must hold at least 4 values"),
+    ("[sweep]\ntau2_start = 300\ntau2_stop = 100\n",
+     "tau2_stop must exceed tau2_start"),
+    ("[sweep]\nrabi_stop = 0\n", "rabi_stop must exceed rabi_start"),
 ])
 def test_rejections_name_the_field(tmp_path, text, message):
     with pytest.raises(cfg.ConfigError, match=message):

@@ -15,6 +15,7 @@ from rbsim import device as dev
 from rbsim import fit, pauli, rb
 from rbsim.cliffords import (
     SignedPauliPerm,
+    ZX_LAYER_ID,
     ZX_UNITARY,
     clifford_table,
     twirl_ptm,
@@ -322,26 +323,83 @@ def test_campaigns_match_reference_hashes(table):
 
 
 def test_coherence_limit_reuses_an_unchanged_model(table, monkeypatch):
+    """The measured-T2 limit of a calibrated device runs on the device
+    model's own head channels; the 2*T1 limit builds its own model,
+    whose pulse rows are made for its T1/T2 set."""
     cfg = _small_cfg(n_sequences=3)
     params = dev.DeviceParams().with_calibration()
     assert rb.decoherence_only_params(params) == params
-    built = []
-    layer_channels = dev.layer_channels
-    monkeypatch.setattr(dev, "layer_channels",
-                        lambda p, t: built.append(p) or layer_channels(p, t))
+    folds = []
+    head_channels = rb.DeviceNoiseModel._head_channels
+
+    def counting(model):
+        if model._heads is None:
+            folds.append(model.params)
+        return head_channels(model)
+
+    monkeypatch.setattr(rb.DeviceNoiseModel, "_head_channels", counting)
     for t1_limited in (False, True):
-        built.clear()
+        dev._pulse_rows.cache_clear()
         noise = rb.DeviceNoiseModel(params, table)
         rb.run_rb(cfg, table, noise)
+        folds.clear()
         r, result = rb.coherence_limit_r(cfg, noise, t1_limited=t1_limited)
-        # only the unchanged (measured-T2) limit runs on noise's layer
-        # channels; the 2*T1 limit builds its own
-        assert len(built) == (2 if t1_limited else 1)
+        assert len(folds) == t1_limited
+        assert dev._pulse_rows.cache_info().misses == 1 + t1_limited
         fresh = rb.DeviceNoiseModel(
             rb.decoherence_only_params(params, t1_limited), table)
         expected = rb.fit_dataset(rb.run_rb(cfg, table, fresh))
         assert result == expected
         assert r == fit.error_per_clifford(expected.alpha)
+
+
+@pytest.mark.parametrize("params, spam", [
+    (dev.DeviceParams(), None),
+    (dev.DeviceParams(), dev.SpamModel.symmetric(thermal=0.0,
+                                                 misassignment=0.03)),
+    (dev.DeviceParams(), dev.SpamModel.symmetric(thermal=0.03,
+                                                 misassignment=0.02)),
+    (dev.DeviceParams(residual_ix=0.02), None),
+], ids=["ideal", "misassignment", "thermal", "residual_ix"])
+def test_sweep_point_equals_separate_campaigns(table, monkeypatch, params,
+                                               spam):
+    """A sweep point's datasets equal the device campaign and both
+    coherence_limit_r datasets bit for bit, and it propagates the
+    measured-T2 limit only when that is not the device's own chain."""
+    cfg = _small_cfg(shots=100)
+    calls = []
+    propagate = rb._propagate
+    monkeypatch.setattr(rb, "_propagate",
+                        lambda *a, **k: calls.append(1) or propagate(*a, **k))
+    device_ds, limit_t2, limit_2t1 = rb.sweep_point(
+        cfg, rb.DeviceNoiseModel(params, table), spam)
+    own_chain = (params.residual_ix == 0.0
+                 and (spam is None or spam.thermal_pop_1 == 0.0))
+    assert len(calls) == (2 if own_chain else 3)
+    noise = rb.DeviceNoiseModel(params, table)
+    expected = rb.run_rb(cfg, table, noise, spam)
+    assert _survival_hash(device_ds) == _survival_hash(expected)
+    for ds, t1_limited in ((limit_t2, False), (limit_2t1, True)):
+        assert ds.shots is None
+        r, result = rb.coherence_limit_r(cfg, noise, t1_limited)
+        assert rb.fit_dataset(ds) == result
+        assert fit.error_per_clifford(rb.fit_dataset(ds).alpha) == r
+
+
+def test_clifford_channels_leave_the_shared_pulse_rows_unchanged(table):
+    params = dev.DeviceParams()
+    rows = dev.pulse_layer_channels(params, table)
+    before = rows.tobytes()
+    ends_in_zx = int(np.flatnonzero(table.head_split[2] == ZX_LAYER_ID)[0])
+    noise = rb.DeviceNoiseModel(params, table)
+    for k in (len(table) - 1, ends_in_zx):
+        channel = noise.clifford_channel(k)
+        assert channel.tobytes() == noise.circuit_channel(
+            table.circuits[k]).tobytes()
+    noise._channels(np.array([ends_in_zx, 3]))
+    assert dev.pulse_layer_channels(params, table) is rows
+    assert rows.tobytes() == before
+    assert not rows.flags.writeable
 
 
 # --- interleaved ------------------------------------------------------------
@@ -442,6 +500,18 @@ def test_simultaneous_device_noise_runs(table):
     for f in result.fits.values():
         assert f.converged
         assert 0.9 < f.alpha < 1.0
+
+
+def test_simultaneous_draws_each_family_once(table, monkeypatch):
+    """The three variants mask one draw of words per family."""
+    streams = []
+    family_rng = rb._family_rng
+    monkeypatch.setattr(
+        rb, "_family_rng", lambda seed, fam, stream=0:
+        streams.append(stream) or family_rng(seed, fam, stream))
+    cfg = _small_cfg(shots=100)
+    rb.run_simultaneous(cfg, rb.InjectedNoiseModel(table))
+    assert streams.count(0) == cfg.n_sequences
 
 
 def test_long_campaigns_converge(table):
