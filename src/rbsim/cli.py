@@ -173,6 +173,8 @@ def cmd_group_stats(args) -> int:
 
 def cmd_group_verify(args) -> int:
     profile = _profile(args)
+    if args.closure_samples < 0:
+        raise CliError("closure-samples must be non-negative")
     table = clifford_table()
     n = len(table)
     perm, sign = table.perm_array, table.sign_array

@@ -338,18 +338,19 @@ class _KeyIndex:
 
 class _RowView(Sequence):
     """Read-only sequence over aligned array rows: item k is made on
-    access as ``make(*(array[k] for array in arrays))``."""
+    access as ``make(*(array[k] for array in arrays))``.  ``arrays`` are
+    the rows themselves, for callers that work on them directly."""
 
     def __init__(self, make, *arrays: np.ndarray):
         self._make = make
-        self._arrays = arrays
+        self.arrays = arrays
 
     def __len__(self) -> int:
-        return len(self._arrays[0])
+        return len(self.arrays[0])
 
     def __getitem__(self, index):
         k = operator.index(index)
-        return self._make(*(array[k] for array in self._arrays))
+        return self._make(*(array[k] for array in self.arrays))
 
 
 def _element(perm: np.ndarray, sign: np.ndarray) -> SignedPauliPerm:

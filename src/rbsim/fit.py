@@ -247,30 +247,3 @@ def delta_alpha(
     )
     return value, sigma
 
-
-def bootstrap_alpha_sigma(
-    lengths,
-    samples_per_length,
-    rng: np.random.Generator,
-    n_boot: int = 200,
-    b0: float = 0.25,
-) -> float:
-    """Bootstrap cross-check of the Jacobian alpha uncertainty.
-
-    ``samples_per_length`` holds the raw per-sequence survival values
-    for each length; sequences are resampled with replacement within
-    each length and the fit repeated.
-    """
-    lengths = np.asarray(lengths, dtype=float)
-    alphas = []
-    for _ in range(n_boot):
-        means = np.empty(len(lengths))
-        errs = np.empty(len(lengths))
-        for k, samples in enumerate(samples_per_length):
-            samples = np.asarray(samples, dtype=float)
-            pick = samples[rng.integers(0, len(samples), size=len(samples))]
-            means[k] = pick.mean()
-            errs[k] = pick.std(ddof=1) / math.sqrt(len(pick)) if len(pick) > 1 else 1.0
-        result = fit_decay(lengths, means, regularize_errors(errs), b0=b0)
-        alphas.append(result.alpha)
-    return float(np.std(alphas, ddof=1))

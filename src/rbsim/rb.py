@@ -39,7 +39,7 @@ import numpy as np
 from . import device as dev
 from . import fit, pauli
 from .cliffords import (ZX_LAYER_ID, CliffordTable, Circuit, Layer,
-                        SignedPauliPerm)
+                        SignedPauliPerm, _RowView)
 
 DEFAULT_LENGTHS = tuple(range(1, 21))
 
@@ -65,7 +65,8 @@ class RBConfig:
 @dataclass(frozen=True)
 class RBSequence:
     """One truncation: Clifford indices, their exact inverse, and the
-    interleaved gate index when applicable."""
+    interleaved gate index when applicable.  Made only when a family of
+    :func:`sample_sequences` is indexed; campaigns read the arrays."""
 
     indices: tuple[int, ...]
     inversion: int
@@ -299,34 +300,6 @@ def _inversions(
     return inversions
 
 
-def _truncations(
-    table: CliffordTable,
-    lengths,
-    bases: np.ndarray,
-    interleaved: int | None = None,
-) -> list[tuple[RBSequence, ...]]:
-    """The truncations of each row of ``bases`` as RBSequence families
-    (see :func:`_inversions`)."""
-    inversions = _inversions(table, lengths, bases, interleaved)
-    return [
-        tuple(RBSequence(tuple(draw[:target]), inv, interleaved)
-              for target, inv in zip(lengths, invs))
-        for draw, invs in zip(bases.tolist(), inversions.tolist())
-    ]
-
-
-def sample_sequence_family(
-    table: CliffordTable,
-    lengths,
-    rng: np.random.Generator,
-    interleaved: int | None = None,
-) -> list[RBSequence]:
-    """Truncations of one uniform i.i.d. draw of max(lengths) Cliffords."""
-    lengths = list(lengths)
-    base = rng.integers(0, len(table), size=lengths[-1])
-    return list(_truncations(table, lengths, base[None], interleaved)[0])
-
-
 @functools.lru_cache(maxsize=16)
 def _sample_families(
     table: CliffordTable,
@@ -334,27 +307,44 @@ def _sample_families(
     n_sequences: int,
     seed: int,
     interleaved: int | None,
-) -> tuple[tuple[RBSequence, ...], ...]:
-    bases = np.stack([
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only draws (families, max length) and their closing gates
+    (families, lengths)."""
+    draws = np.stack([
         _family_rng(seed, fam).integers(0, len(table), size=lengths[-1])
         for fam in range(n_sequences)
     ])
-    return tuple(_truncations(table, lengths, bases, interleaved))
+    inversions = _inversions(table, lengths, draws, interleaved)
+    draws.setflags(write=False)
+    inversions.setflags(write=False)
+    return draws, inversions
+
+
+def _family(lengths, interleaved, draw, inversions):
+    """One family's truncations as RBSequence objects."""
+    draw = draw.tolist()
+    return tuple(RBSequence(tuple(draw[:target]), inv, interleaved)
+                 for target, inv in zip(lengths, inversions.tolist()))
 
 
 def sample_sequences(
     cfg: RBConfig, table: CliffordTable, interleaved: int | None = None
-) -> tuple[tuple[RBSequence, ...], ...]:
+) -> _RowView:
     """All sequence families of a campaign, deterministic in cfg.seed.
 
     The draw depends only on (lengths, n_sequences, seed, interleaved)
     and the table, so it is made once per process and shared: the
     campaigns of a tau2 sweep (device run and both decoherence-only
     limits at every grid point) all reuse one set of families.  The
-    result is an immutable tuple of tuples for that reason.
+    result is a read-only sequence over those arrays, ``.arrays`` =
+    (draws, inversions), which is what campaigns use; family f, the
+    tuple of its truncations as RBSequence objects, is made only when
+    it is indexed, for inspection.
     """
-    return _sample_families(table, tuple(cfg.lengths), cfg.n_sequences,
-                            cfg.seed, interleaved)
+    lengths = tuple(cfg.lengths)
+    return _RowView(functools.partial(_family, lengths, interleaved),
+                    *_sample_families(table, lengths, cfg.n_sequences,
+                                      cfg.seed, interleaved))
 
 
 # --- simulation ------------------------------------------------------------
@@ -414,10 +404,7 @@ def _read_out(cfg, closed, spam, readout=(_P00,)) -> np.ndarray:
 def _campaign_states(cfg, table, noise, state, gate=None) -> np.ndarray:
     """Closed states of a standard campaign, or of an interleaved one
     with the gate index ``gate``, on its sampled families."""
-    families = sample_sequences(cfg, table, interleaved=gate)
-    draws = np.array([family[-1].indices for family in families])
-    inversions = np.array([[seq.inversion for seq in family]
-                           for family in families])
+    draws, inversions = sample_sequences(cfg, table, interleaved=gate).arrays
     return _propagate(cfg.lengths, draws, inversions, noise, state, gate)
 
 

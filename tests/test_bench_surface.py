@@ -41,6 +41,28 @@ def test_campaigns_sample_through_sample_sequences_once(table, monkeypatch):
     assert calls == [gate]
 
 
+def test_sampled_families_read_as_the_mirror_reads_them(table):
+    """The mirror iterates a campaign's families and reads len(family),
+    family[-1].indices (kept in a set) and each truncation's .inversion:
+    the view over the sampled arrays makes these on access."""
+    cfg = rb.RBConfig(lengths=(1, 3, 4), n_sequences=3, shots=None, seed=5)
+    for gate in (None, table.index_of(zx_perm())):
+        families = rb.sample_sequences(cfg, table, interleaved=gate)
+        draws, inversions = families.arrays
+        assert len(families) == cfg.n_sequences
+        for family, draw, closing in zip(families, draws, inversions):
+            assert isinstance(family, tuple)
+            assert len(family) == len(cfg.lengths)
+            longest = family[-1].indices
+            assert isinstance(longest, tuple)
+            assert all(type(k) is int for k in longest)
+            hash(longest)
+            assert longest == tuple(draw.tolist())
+            for seq, inversion in zip(family, closing):
+                assert type(seq.inversion) is int
+                assert seq.inversion == inversion
+
+
 def test_channel_lookups_one_index_at_a_time(table):
     """checks.predictions() and the mirror build channels one index at a
     time, read them as pairs, and clear the layer-channel cache."""

@@ -360,6 +360,8 @@ def test_flags_are_validated_like_config_values(capsys):
         (("sweep", "cr-rabi", "--start", "300", "--stop", "100"),
          "rabi_stop must exceed rabi_start"),
         (("rb", "standard", "--lengths", "1-3"), "lengths"),
+        (("group", "verify", "--closure-samples", "-5"),
+         "closure-samples must be non-negative"),
     ]
     for argv, field in cases:
         code, summary, err = run_cli(capsys, *argv)

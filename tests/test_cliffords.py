@@ -186,7 +186,7 @@ def test_table_and_sampling_match_reference_hashes():
         "inverse": _sha256(table.inverse_indices.astype(np.int64).tobytes()),
         "circuits": _sha256(repr(list(table.circuits)).encode()),
         "families": _sha256(
-            repr(rb.sample_sequences(rb.RBConfig(), table)).encode()),
+            repr(tuple(rb.sample_sequences(rb.RBConfig(), table))).encode()),
     }
     assert got == {
         "perm": "c8fa8c9d202201e215e45eb17f67d820"

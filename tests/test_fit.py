@@ -172,16 +172,22 @@ def test_delta_alpha():
     assert s == pytest.approx(expect, rel=1e-12)
 
 
-def test_bootstrap_sigma_roughly_matches_jacobian():
+def test_jacobian_sigma_matches_redraw_spread():
+    """On independent per-length noise, the Jacobian alpha_sigma is the
+    spread of the fitted alpha over independent redraws of the data."""
     rng = np.random.default_rng(21)
     sigma = 0.01
     n_seq = 30
-    samples = [
-        0.5 * 0.9 ** i + 0.25 + rng.normal(0, sigma, size=n_seq)
-        for i in LENGTHS
-    ]
-    means = np.array([s.mean() for s in samples])
-    errs = np.array([s.std(ddof=1) / math.sqrt(n_seq) for s in samples])
-    res = fit.fit_decay(LENGTHS, means, errs)
-    boot = fit.bootstrap_alpha_sigma(LENGTHS, samples, rng, n_boot=120)
-    assert boot == pytest.approx(res.alpha_sigma, rel=0.5)
+
+    def fitted(samples):
+        means = samples.mean(axis=1)
+        errs = samples.std(axis=1, ddof=1) / math.sqrt(n_seq)
+        return fit.fit_decay(LENGTHS, means, errs)
+
+    def draw():
+        return (_synth(0.5, 0.25, 0.9)[:, None]
+                + rng.normal(0, sigma, size=(len(LENGTHS), n_seq)))
+
+    res = fitted(draw())
+    spread = np.std([fitted(draw()).alpha for _ in range(120)], ddof=1)
+    assert spread == pytest.approx(res.alpha_sigma, rel=0.5)

@@ -49,59 +49,99 @@ def test_config_validation():
         rb.RBConfig(shots=0)
 
 
+def _closes(table, draw, inversion, gate=None):
+    """Whether ``inversion`` undoes ``draw`` (each step followed by
+    ``gate``, if any)."""
+    acc = SignedPauliPerm.identity(2)
+    for k in draw:
+        acc = table.elements[k].compose(acc)
+        if gate is not None:
+            acc = table.elements[gate].compose(acc)
+    return table.elements[inversion].compose(acc) == SignedPauliPerm.identity(2)
+
+
 def test_truncations_share_prefix(table):
-    rng = np.random.default_rng(3)
-    family = rb.sample_sequence_family(table, (1, 4, 9), rng)
-    assert [len(s.indices) for s in family] == [1, 4, 9]
-    longest = family[-1].indices
-    for seq in family:
-        assert seq.indices == longest[: len(seq.indices)]
+    """Each truncation's closing gate depends only on its prefix of the
+    family's one draw."""
+    base = np.random.default_rng(3).integers(0, len(table), size=9)
+    inversions = rb._inversions(table, (1, 4, 9), base[None])
+    assert inversions.shape == (1, 3)
+    for col, target in enumerate((1, 4, 9)):
+        alone = rb._inversions(table, (target,), base[None, :target])
+        assert alone[0, 0] == inversions[0, col]
 
 
 def test_inversion_closes_to_identity(table):
-    rng = np.random.default_rng(5)
-    family = rb.sample_sequence_family(table, (2, 6), rng)
-    for seq in family:
-        acc = SignedPauliPerm.identity(2)
-        for k in seq.indices:
-            acc = table.elements[k].compose(acc)
-        acc = table.elements[seq.inversion].compose(acc)
-        assert acc == SignedPauliPerm.identity(2)
+    base = np.random.default_rng(5).integers(0, len(table), size=6)
+    inversions = rb._inversions(table, (2, 6), base[None])[0]
+    for target, inv in zip((2, 6), inversions):
+        assert _closes(table, base[:target], inv)
 
 
 def test_interleaved_inversion_includes_gate(table):
     gate = table.index_of(zx_perm())
-    rng = np.random.default_rng(11)
-    family = rb.sample_sequence_family(table, (3, 4), rng, interleaved=gate)
-    for seq in family:
-        assert seq.interleaved == gate
-        acc = SignedPauliPerm.identity(2)
-        for k in seq.indices:
-            acc = table.elements[gate].compose(table.elements[k].compose(acc))
-        acc = table.elements[seq.inversion].compose(acc)
-        assert acc == SignedPauliPerm.identity(2)
+    base = np.random.default_rng(11).integers(0, len(table), size=4)
+    inversions = rb._inversions(table, (3, 4), base[None], interleaved=gate)
+    for target, inv in zip((3, 4), inversions[0]):
+        assert _closes(table, base[:target], inv, gate)
+        assert not _closes(table, base[:target], inv)
 
 
 def test_sampling_is_deterministic_in_seed(table):
     cfg = _small_cfg()
-    a = rb.sample_sequences(cfg, table)
+    a = rb.sample_sequences(cfg, table).arrays
     rb._sample_families.cache_clear()  # draw again rather than recall
-    b = rb.sample_sequences(cfg, table)
-    assert a == b and a is not b
-    c = rb.sample_sequences(_small_cfg(seed=8), table)
-    assert a != c
+    b = rb.sample_sequences(cfg, table).arrays
+    assert all(np.array_equal(x, y) and x is not y for x, y in zip(a, b))
+    c = rb.sample_sequences(_small_cfg(seed=8), table).arrays
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_sampling_is_shared_across_campaigns(table):
     cfg = _small_cfg(seed=19)
-    families = rb.sample_sequences(cfg, table)
-    assert isinstance(families, tuple)
-    assert all(isinstance(family, tuple) for family in families)
+    draws, inversions = rb.sample_sequences(cfg, table).arrays
+    assert draws.shape == (4, 8) and inversions.shape == (4, 5)
+    assert not draws.flags.writeable and not inversions.flags.writeable
     # shots do not enter the draw, so exact and sampled runs share it
-    assert rb.sample_sequences(_small_cfg(seed=19, shots=100), table) \
-        is families
+    shared = rb.sample_sequences(_small_cfg(seed=19, shots=100), table).arrays
+    assert shared[0] is draws and shared[1] is inversions
+    # an interleaved campaign draws the same words and closes them
+    # differently
     gate = table.index_of(zx_perm())
-    assert rb.sample_sequences(cfg, table, interleaved=gate) != families
+    words, closing = rb.sample_sequences(cfg, table, interleaved=gate).arrays
+    assert np.array_equal(words, draws)
+    assert not np.array_equal(closing, inversions)
+
+
+def test_long_draw_holds_arrays_only(table):
+    """A lengths 1-200 x 100 draw keeps its two index arrays (~0.3 MiB),
+    not a tuple prefix per truncation (~19 MiB)."""
+    cfg = rb.RBConfig(lengths=tuple(range(1, 201)), n_sequences=100)
+    rb.sample_sequences(_small_cfg(seed=23), table)  # warm numpy.random
+    rb._sample_families.cache_clear()
+    tracemalloc.start()
+    try:
+        families = rb.sample_sequences(cfg, table)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(families) == 100
+    assert held < 2**20
+
+
+def test_campaigns_build_no_sequence_objects(table, monkeypatch):
+    class Unbuildable:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a campaign built an RBSequence")
+
+    monkeypatch.setattr(rb, "RBSequence", Unbuildable)
+    rb._sample_families.cache_clear()
+    cfg = _small_cfg(seed=29)
+    noise = rb.InjectedNoiseModel(table, rb.depolarizing_ptm(0.9))
+    assert rb.run_rb(cfg, table, noise).survivals.shape == (5, 4)
+    gate = table.index_of(zx_perm())
+    assert rb.run_interleaved(cfg, table, noise, gate).survivals.shape \
+        == (5, 4)
 
 
 # --- exact-mode simulation oracles -----------------------------------------
