@@ -1,10 +1,22 @@
 """Weighted exponential-decay fitting and error-rate conversions.
 
-The decay model is F(i) = A*alpha**i + B.  Fitting is damped least
-squares (Levenberg-Marquardt) with the analytic Jacobian; 1-sigma
-parameter uncertainties come from the linearized covariance (inverse
-Gauss-Newton normal matrix scaled by the residual variance), matching
-the usual Jacobian-based confidence intervals.
+The decay model is F(i) = A*alpha**i + B.  A and B enter it linearly,
+so at each alpha one weighted linear solve gives them and the fit is a
+one-dimensional search over alpha (variable projection; Golub & Pereyra,
+SIAM J. Numer. Anal. 10, 413 (1973)).  The profile chi^2(alpha) is
+evaluated on a fixed grid over (0, 1) in one vectorised call; secant
+steps on its exact gradient, 2*A*sum(w_i r_i i alpha**(i-1)) by the
+envelope theorem, then refine alpha in the bracket around the best grid
+point, with a bisection wherever a step leaves the bracket, until a step
+or the bracket is below ALPHA_TOL.  ``iterations`` counts these steps.
+``converged`` is False when the profile still falls at an end of the
+grid (alpha = 1 or alpha -> 0), when max_iterations steps do not reach
+the tolerance, or when the decay is unresolved: a straight line, the
+alpha -> 1 limit, fits the data within 1 sigma of the best decay.
+
+1-sigma parameter uncertainties come from the linearized covariance
+(inverse Gauss-Newton normal matrix scaled by the residual variance),
+matching the usual Jacobian-based confidence intervals.
 """
 
 from __future__ import annotations
@@ -14,9 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_ITERATIONS = 200
+# a guard: bisection alone narrows any grid bracket to ALPHA_TOL in 30 steps
+MAX_ITERATIONS = 100
 MIN_POINTS = 4  # one more than the parameters A, alpha and B
-REL_CHI2_TOL = 1e-10
+ALPHA_TOL = 1e-10
+# decay lengths -1/ln(alpha) log-spaced from 0.2 (alpha = 0.0067) to 1e10
+# (alpha = 1 - 1e-10, which no practical length tells from a straight line)
+ALPHA_GRID = np.exp(-1.0 / np.logspace(-0.7, 10.0, 128))
 
 
 @dataclass(frozen=True)
@@ -52,27 +68,6 @@ def decay_jacobian(lengths: np.ndarray, a: float, alpha: float) -> np.ndarray:
     return cols
 
 
-def _initial_guess(lengths, means, b0):
-    a0 = means[0] - b0
-    shifted = means - b0
-    # Take the log-slope over the head of the decay only: up to the first
-    # point below 1/e of the first (at least 2 points).  A long flat tail
-    # is scatter around zero and would start the fit near alpha = 1.
-    below = np.flatnonzero(shifted < a0 / math.e)
-    head = max(int(below[0]) + 1, 2) if a0 > 0 and below.size else len(means)
-    lengths, shifted = lengths[:head], shifted[:head]
-    usable = shifted > 1e-12
-    if np.count_nonzero(usable) >= 2:
-        slope = np.polyfit(lengths[usable], np.log(shifted[usable]), 1)[0]
-        alpha0 = float(np.exp(slope))
-        alpha0 = min(max(alpha0, 1e-3), 1.0)
-    else:
-        alpha0 = 0.9
-    if a0 == 0.0:
-        a0 = 1e-3
-    return np.array([a0, b0, alpha0])
-
-
 def fit_decay(
     lengths,
     means,
@@ -82,10 +77,10 @@ def fit_decay(
 ) -> FitResult:
     """Weighted fit of F(i) = A*alpha**i + B to per-length means.
 
-    ``errors`` are 1-sigma error bars used as weights; ``b0`` is the
-    asymptote used to initialize B (0.25 for two-qubit survival, 0.5
-    for single-qubit marginals).  Flat data (no dynamic range) returns
-    a degenerate result with alpha = 1 instead of attempting a fit.
+    ``errors`` are 1-sigma error bars used as weights.  Flat data (no
+    dynamic range) returns a degenerate result with alpha = 1 and B =
+    ``b0`` (0.25 for two-qubit survival, 0.5 for single-qubit marginals)
+    instead of attempting a fit.
     """
     lengths = np.asarray(lengths, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -105,56 +100,60 @@ def fit_decay(
             chi2_red=0.0, iterations=0, converged=True, degenerate=True,
         )
 
-    def chi2(params):
-        a, b, alpha = params
-        if alpha <= 0:
-            return math.inf
-        resid = (decay_model(lengths, a, b, alpha) - means) / errors
-        return float(resid @ resid)
+    weights = errors ** -2.0
+    total = weights.sum()
+    mean = (weights @ means) / total
+    centred = means - mean
 
-    params = _initial_guess(lengths, means, b0)
-    cost = chi2(params)
-    lam = 1e-3
-    converged = False
+    def profile(alpha):
+        """chi^2, d chi^2/d alpha, A and B at one alpha.  With v =
+        alpha**i - 1 (exact near alpha = 1 by expm1), F - mean(F) =
+        A*(v - mean(v)) in weighted means."""
+        v = np.expm1(lengths * math.log(alpha))
+        v_mean = (v @ weights) / total
+        psi = v - v_mean
+        wpsi = weights * psi
+        a = (wpsi @ centred) / (wpsi @ psi)
+        resid = a * psi - centred
+        wres = weights * resid
+        grad = 2.0 * a * (wres @ (lengths * (v + 1.0))) / alpha
+        return wres @ resid, grad, a, mean - a * (1.0 + v_mean)
+
+    # chi^2 = sum(w (y - mean)^2) - explained; the grid point of least
+    # chi^2 explains the most
+    v_grid = np.expm1(np.multiply.outer(np.log(ALPHA_GRID), lengths))
+    psi_grid = v_grid - ((v_grid @ weights) / total)[:, None]
+    wc = weights * centred
+    explained = (psi_grid @ wc) ** 2 / ((psi_grid * psi_grid) @ weights)
+    best = int(np.argmax(explained))
+    alpha = ALPHA_GRID[best]
+    cost, grad, a, b = profile(alpha)
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        a, b, alpha = params
-        jac = decay_jacobian(lengths, a, alpha) / errors[:, None]
-        resid = (decay_model(lengths, a, b, alpha) - means) / errors
-        jtj = jac.T @ jac
-        grad = jac.T @ resid
-        step_ok = False
-        for _ in range(40):
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
-            try:
-                delta = np.linalg.solve(damped, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = params + delta
-            trial_cost = chi2(trial)
-            if (
-                np.isfinite(trial_cost)
-                and abs(cost - trial_cost) <= REL_CHI2_TOL * max(cost, 1e-300)
-            ):
-                # no meaningful improvement is available in any direction
-                if trial_cost < cost:
-                    params, cost = trial, trial_cost
-                converged = True
+    converged = False
+    # grad(lo) < 0 <= grad(hi) brackets a minimum; there is none when
+    # the profile still falls at an end of the grid
+    lo = best if grad < 0 else best - 1
+    if 0 <= lo < len(ALPHA_GRID) - 1:
+        lo_x, hi_x = ALPHA_GRID[lo], ALPHA_GRID[lo + 1]
+        prev = hi_x if lo == best else lo_x
+        grad_prev = profile(prev)[1]
+        for iterations in range(1, max_iterations + 1):
+            trial = (alpha - grad * (alpha - prev) / (grad - grad_prev)
+                     if grad != grad_prev else lo_x)
+            if not lo_x < trial < hi_x:
+                trial = 0.5 * (lo_x + hi_x)
+            prev, grad_prev, alpha = alpha, grad, trial
+            cost, grad, a, b = profile(alpha)
+            lo_x, hi_x = (alpha, hi_x) if grad < 0 else (lo_x, alpha)
+            converged = (abs(alpha - prev) < ALPHA_TOL
+                         or hi_x - lo_x < ALPHA_TOL)
+            if converged:
                 break
-            if trial_cost < cost:
-                step_ok = True
-                break
-            lam *= 10.0
-        if converged or not step_ok:
-            break
-        params = trial
-        cost = trial_cost
-        lam = max(lam / 10.0, 1e-12)
-
-    a, b, alpha = params
-    n_free = len(lengths) - 3
-    chi2_red = cost / n_free
+    chi2_red = cost / (len(lengths) - 3)
+    # unresolved: the straight line, the alpha -> 1 limit at the top of
+    # the grid, lies within 1 sigma of the minimum on the scale of the
+    # reported sigmas (delta chi^2 = chi2_red)
+    converged = converged and centred @ wc - explained[-1] - cost > chi2_red
     jac = decay_jacobian(lengths, a, alpha) / errors[:, None]
     cov = np.linalg.pinv(jac.T @ jac) * chi2_red
     sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -163,7 +162,7 @@ def fit_decay(
         a_sigma=float(sigmas[0]), b_sigma=float(sigmas[1]),
         alpha_sigma=float(sigmas[2]),
         chi2_red=float(chi2_red), iterations=iterations,
-        converged=converged,
+        converged=bool(converged),
     )
 
 

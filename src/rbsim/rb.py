@@ -306,18 +306,15 @@ def _sample_families(
     lengths: tuple[int, ...],
     n_sequences: int,
     seed: int,
-    interleaved: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only draws (families, max length) and their closing gates
-    (families, lengths)."""
+) -> tuple[np.ndarray, dict[int | None, np.ndarray]]:
+    """Read-only draws (families, max length), and a memo of their
+    closing gates (families, lengths) keyed by the interleaved gate."""
     draws = np.stack([
         _family_rng(seed, fam).integers(0, len(table), size=lengths[-1])
         for fam in range(n_sequences)
     ])
-    inversions = _inversions(table, lengths, draws, interleaved)
     draws.setflags(write=False)
-    inversions.setflags(write=False)
-    return draws, inversions
+    return draws, {}
 
 
 def _family(lengths, interleaved, draw, inversions):
@@ -332,19 +329,24 @@ def sample_sequences(
 ) -> _RowView:
     """All sequence families of a campaign, deterministic in cfg.seed.
 
-    The draw depends only on (lengths, n_sequences, seed, interleaved)
-    and the table, so it is made once per process and shared: the
-    campaigns of a tau2 sweep (device run and both decoherence-only
-    limits at every grid point) all reuse one set of families.  The
-    result is a read-only sequence over those arrays, ``.arrays`` =
-    (draws, inversions), which is what campaigns use; family f, the
-    tuple of its truncations as RBSequence objects, is made only when
-    it is indexed, for inspection.
+    The draw depends only on (lengths, n_sequences, seed) and the table,
+    so it is made once per process and shared: the reference and
+    interleaved campaigns of one config, and the campaigns of a tau2
+    sweep (device run and both decoherence-only limits at every grid
+    point), all reuse one set of families, and each interleaved gate's
+    closing gates are found once.  The result is a read-only sequence
+    over those arrays, ``.arrays`` = (draws, inversions), which is what
+    campaigns use; family f, the tuple of its truncations as RBSequence
+    objects, is made only when it is indexed, for inspection.
     """
     lengths = tuple(cfg.lengths)
+    draws, closings = _sample_families(table, lengths, cfg.n_sequences,
+                                       cfg.seed)
+    if interleaved not in closings:
+        closings[interleaved] = _inversions(table, lengths, draws, interleaved)
+        closings[interleaved].setflags(write=False)
     return _RowView(functools.partial(_family, lengths, interleaved),
-                    *_sample_families(table, lengths, cfg.n_sequences,
-                                      cfg.seed, interleaved))
+                    draws, closings[interleaved])
 
 
 # --- simulation ------------------------------------------------------------

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from rbsim import fit
+from rbsim import config, fit, rb
+from rbsim.cliffords import clifford_table
 
 
 LENGTHS = np.arange(1, 21)
@@ -107,6 +108,98 @@ def test_shallow_decay_converges():
     res = fit.fit_decay(LENGTHS, means, np.full(20, 0.001), b0=0.5)
     assert res.converged
     assert res.alpha == pytest.approx(0.995, abs=1e-8)
+
+
+@pytest.mark.parametrize("bend", [0.0, -2e-5])
+def test_straight_line_is_unresolved_at_the_alpha_one_edge(bend):
+    """A line, or one bending down faster than any decay, has its
+    infimum at the alpha -> 1 limit; the fit says so instead of
+    converging."""
+    means = 0.9 - 0.01 * LENGTHS + bend * LENGTHS ** 2
+    res = fit.fit_decay(LENGTHS, means, np.full(20, 0.01))
+    assert not res.converged
+    assert res.alpha > 1.0 - 1e-8
+    if bend:
+        assert res.alpha == fit.ALPHA_GRID[-1] and res.iterations == 0
+
+
+def test_interior_minimum_is_unresolved_when_a_line_fits_as_well():
+    rng = np.random.default_rng(3)
+    means = 0.9 - 0.01 * LENGTHS + rng.normal(0.0, 0.01, size=20)
+    res = fit.fit_decay(LENGTHS, means, np.full(20, 0.01))
+    assert res.iterations > 0 and res.alpha < 0.999
+    assert not res.converged
+
+
+def _default_simultaneous(seed):
+    """The default `rb simultaneous` campaign and its profile."""
+    profile = config.load_profile(None)
+    profile.seed = seed
+    noise = profile.noise(clifford_table())
+    return rb.run_simultaneous(profile.rb_config(), noise, profile.spam), \
+        profile, noise
+
+
+def _default_campaigns(seed):
+    """The five datasets of a default `rb simultaneous` and the dataset of
+    a default `rb standard`, each with its fit's b0."""
+    simultaneous, profile, noise = _default_simultaneous(seed)
+    standard = rb.run_rb(profile.rb_config(), clifford_table(), noise,
+                         profile.spam)
+    return ([(ds, 0.5) for ds in simultaneous.datasets.values()]
+            + [(standard, 0.25)])
+
+
+def _reference_minimum(lengths, means, errors):
+    """Least profile chi^2 over the fitter's interval (0, ALPHA_GRID[-1]]
+    by brute force: a dense grid, then golden-section search on chi^2
+    values, each from the weighted solve for A and B in extended
+    precision."""
+    m = np.asarray(lengths, dtype=np.longdouble)
+    y = np.asarray(means, dtype=np.longdouble)
+    w = np.asarray(errors, dtype=np.longdouble) ** -2
+
+    def chi2(alphas):
+        # alpha**m - 1, centred with weights: A's regressor
+        x = np.expm1(np.multiply.outer(np.log(alphas), m))
+        x -= (x @ w)[..., None] / w.sum()
+        yc = y - (w @ y) / w.sum()
+        a = ((x * yc) @ w) / ((x * x) @ w)
+        resid = a[..., None] * x - yc
+        return (resid * resid) @ w
+
+    top = np.longdouble(fit.ALPHA_GRID[-1])
+    grid = 1 - np.geomspace(1 - top, np.longdouble(1), 20001)[:-1][::-1]
+    best = int(np.argmin(chi2(grid)))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    ratio = (np.sqrt(np.longdouble(5)) - 1) / 2
+    while hi - lo > 1e-14:
+        left, right = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if chi2(left) < chi2(right):
+            hi = right
+        else:
+            lo = left
+    alpha = (lo + hi) / 2
+    return float(alpha), float(chi2(alpha))
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_fits_match_brute_force_profile_minimum(seed):
+    for ds, b0 in _default_campaigns(seed):
+        errors = fit.regularize_errors(ds.stderr())
+        res = rb.fit_dataset(ds, b0=b0)
+        alpha, chi2 = _reference_minimum(ds.lengths, ds.means(), errors)
+        assert abs(res.alpha - alpha) < 1e-9, ds.protocol
+        assert res.chi2_red * (len(ds.lengths) - 3) <= chi2 + 1e-9, \
+            ds.protocol
+
+
+def test_default_simultaneous_fits_take_few_steps():
+    """A few refinement steps per fit, also where the qubit-1 decay is
+    unresolved (seeds 2, 7 and 1234)."""
+    for seed in range(1, 21):
+        for key, res in _default_simultaneous(seed)[0].fits.items():
+            assert res.iterations <= 50, (seed, key)
 
 
 def test_regularize_errors():

@@ -109,7 +109,7 @@ def test_sampling_is_shared_across_campaigns(table):
     # differently
     gate = table.index_of(zx_perm())
     words, closing = rb.sample_sequences(cfg, table, interleaved=gate).arrays
-    assert np.array_equal(words, draws)
+    assert words is draws
     assert not np.array_equal(closing, inversions)
 
 
@@ -555,9 +555,9 @@ def test_simultaneous_draws_each_family_once(table, monkeypatch):
 
 
 def test_long_campaigns_converge(table):
-    """Lengths out to 200 put most points on the flat tail; the fit's
-    start must come from the head of the decay (these seeds once ended
-    unconverged near alpha = 1, or converged to alpha ~ 2e-5)."""
+    """Lengths out to 200 put most points on the flat tail; the fit must
+    still find the head's decay (these seeds once ended unconverged near
+    alpha = 1, or converged to alpha ~ 2e-5)."""
     noise = rb.DeviceNoiseModel(dev.DeviceParams(), table)
     for seed in (6, 11, 32):
         cfg = rb.RBConfig(lengths=tuple(range(1, 201)), n_sequences=100,
