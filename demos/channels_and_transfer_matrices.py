@@ -31,7 +31,7 @@ print(f"  Choi eigenvalue range [{eigenvalues[0]:.2e}, "
 # the fidelity of the noise to the identity
 table = clifford_table()
 gate = table.elements[4321].to_ptm()
-noisy_gate = pauli.ptm_compose(two_qubit, gate)
+noisy_gate = two_qubit @ gate  # apply gate, then the noise
 print(f"\naverage gate fidelity of the noisy gate  "
       f"{pauli.avg_gate_fidelity(noisy_gate, gate):.6f}")
 print(f"fidelity of the bare noise to identity   "

@@ -95,11 +95,12 @@ class SignedPauliPerm:
         return cls(tuple(range(n)), (1,) * n)
 
     @classmethod
-    def from_unitary(cls, u: np.ndarray, atol: float = 1e-9) -> "SignedPauliPerm":
-        """Build from a unitary; raises ValueError if it is not Clifford."""
+    def from_unitary(cls, u: np.ndarray) -> "SignedPauliPerm":
+        """Build from a unitary; raises ValueError if its transfer matrix
+        is not a signed permutation within 1e-9."""
         r = pauli.unitary_to_ptm(u)
         rounded = np.round(r)
-        if np.max(np.abs(r - rounded)) > atol:
+        if np.max(np.abs(r - rounded)) > 1e-9:
             raise ValueError("unitary does not map Paulis to signed Paulis")
         n = r.shape[0]
         perm = []

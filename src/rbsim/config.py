@@ -63,12 +63,11 @@ class RunProfile:
     tau2_stop: float = 300.0
     tau2_points: int = 9
 
-    def rb_config(self, exact: bool = False) -> rb.RBConfig:
-        shots = None if exact else self.shots
+    def rb_config(self) -> rb.RBConfig:
         return rb.RBConfig(
             lengths=self.lengths,
             n_sequences=self.sequences,
-            shots=shots,
+            shots=self.shots,
             seed=self.seed,
         )
 
@@ -211,6 +210,10 @@ def load_profile(path: str | None = None) -> RunProfile:
 
 def validate(profile: RunProfile) -> None:
     """Raise ConfigError naming the first field with an invalid value."""
+    for name in ("rabi_start", "rabi_stop", "tau2_start", "tau2_stop"):
+        value = getattr(profile, name)
+        if not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if profile.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {profile.seed}")
     if profile.noise_model not in NOISE_MODELS:

@@ -28,6 +28,7 @@ ZI = np.kron(pauli.SIGMA_Z, pauli.I2)
 # Factory default: the entangling pulse is calibrated, 4*eps*mu*tau2 = pi/2.
 _DEFAULT_MU = 0.05
 _DEFAULT_TAU2 = 178.0
+_COHERENCE_TIMES = {"t1_1_us", "t1_2_us", "t2_1_us", "t2_2_us"}
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,13 @@ class DeviceParams:
     residual_zi: float = 0.0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if math.isnan(value):
+                raise ValueError(f"{f.name} must be a number, got {value}")
+            # an infinite T1 or T2 is the decoherence-free limit
+            if math.isinf(value) and f.name not in _COHERENCE_TIMES:
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for t1, t2, q in (
             (self.t1_1_us, self.t2_1_us, 1),
             (self.t1_2_us, self.t2_2_us, 2),
@@ -411,6 +419,12 @@ class SpamModel:
         if self.confusion is None:
             self.confusion = np.eye(4)
         self.confusion = np.asarray(self.confusion, dtype=float)
+        for name in ("thermal_pop_1", "thermal_pop_2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not np.all(np.isfinite(self.confusion)):
+            raise ValueError("confusion matrix entries must be finite")
         if self.confusion.shape != (4, 4):
             raise ValueError("confusion matrix must be 4x4")
         if np.any(self.confusion < 0):

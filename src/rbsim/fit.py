@@ -10,7 +10,7 @@ envelope theorem, then refine alpha in the bracket around the best grid
 point, with a bisection wherever a step leaves the bracket, until a step
 or the bracket is below ALPHA_TOL.  ``iterations`` counts these steps.
 ``converged`` is False when the profile still falls at an end of the
-grid (alpha = 1 or alpha -> 0), when max_iterations steps do not reach
+grid (alpha = 1 or alpha -> 0), when MAX_ITERATIONS steps do not reach
 the tolerance, or when the decay is unresolved: a straight line, the
 alpha -> 1 limit, fits the data within 1 sigma of the best decay.
 
@@ -48,12 +48,6 @@ class FitResult:
     converged: bool
     degenerate: bool = False
 
-    @property
-    def alpha_physical(self) -> bool:
-        """True when alpha lies in (0, 1]; out-of-range fits are flagged
-        here rather than clamped."""
-        return 0.0 < self.alpha <= 1.0
-
 
 def decay_model(lengths: np.ndarray, a: float, b: float, alpha: float) -> np.ndarray:
     return a * np.power(alpha, lengths) + b
@@ -73,7 +67,6 @@ def fit_decay(
     means,
     errors,
     b0: float = 0.25,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> FitResult:
     """Weighted fit of F(i) = A*alpha**i + B to per-length means.
 
@@ -137,7 +130,7 @@ def fit_decay(
         lo_x, hi_x = ALPHA_GRID[lo], ALPHA_GRID[lo + 1]
         prev = hi_x if lo == best else lo_x
         grad_prev = profile(prev)[1]
-        for iterations in range(1, max_iterations + 1):
+        for iterations in range(1, MAX_ITERATIONS + 1):
             trial = (alpha - grad * (alpha - prev) / (grad - grad_prev)
                      if grad != grad_prev else lo_x)
             if not lo_x < trial < hi_x:
@@ -166,7 +159,7 @@ def fit_decay(
     )
 
 
-def regularize_errors(stderr, floor_scale: float = 1.0) -> np.ndarray:
+def regularize_errors(stderr) -> np.ndarray:
     """Usable weights from per-length standard errors.
 
     Exact-probability campaigns can produce zero scatter; all-zero
@@ -177,7 +170,7 @@ def regularize_errors(stderr, floor_scale: float = 1.0) -> np.ndarray:
     positive = stderr[stderr > 1e-12]
     if positive.size == 0:
         return np.ones_like(stderr)
-    return np.maximum(stderr, positive.min() * floor_scale)
+    return np.maximum(stderr, positive.min())
 
 
 def error_per_clifford(alpha: float, d: int = 4) -> float:
@@ -203,21 +196,19 @@ class InterleavedError:
 def interleaved_error(
     alpha: float,
     alpha_c: float,
-    d: int = 4,
     alpha_sigma: float = 0.0,
     alpha_c_sigma: float = 0.0,
 ) -> InterleavedError:
-    """Error of the interleaved gate, r_C = (d-1)(1 - alpha_c/alpha)/d.
+    """Error of the interleaved two-qubit gate, r_C = 3(1 -
+    alpha_c/alpha)/4: (d-1)(1 - alpha_c/alpha)/d with d = 4.
 
     The 1-sigma uncertainty is propagated from both decay parameters.
     A ratio above 1 (alpha_c > alpha) yields a negative r_C, which is
     returned as-is with the suspect flag set.
     """
-    if d not in (2, 4):
-        raise ValueError("d must be 2 (one qubit) or 4 (two qubits)")
     if alpha <= 0:
         raise ValueError("reference alpha must be positive")
-    scale = (d - 1.0) / d
+    scale = 0.75
     r_c = scale * (1.0 - alpha_c / alpha)
     d_dc = -scale / alpha
     d_da = scale * alpha_c / alpha ** 2

@@ -55,11 +55,12 @@ def pauli_matrices(n_qubits: int) -> np.ndarray:
     return out
 
 
-def assert_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> None:
-    """Raise ValueError if ``u`` is not unitary within ``atol`` (max norm)."""
+def assert_unitary(u: np.ndarray) -> None:
+    """Raise ValueError if ``u`` is not unitary within UNITARY_ATOL (max
+    norm)."""
     u = np.asarray(u)
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > atol:
+    if dev > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: max |U†U - I| = {dev:.3e}")
 
 
@@ -106,11 +107,6 @@ def kraus_to_ptm(kraus: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray
     return np.real(np.einsum("iab,jba->ij", paulis, conj)) / d
 
 
-def ptm_compose(second: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Channel composition: apply ``first``, then ``second``."""
-    return np.asarray(second) @ np.asarray(first)
-
-
 def choi_from_ptm(r: np.ndarray) -> np.ndarray:
     """Choi matrix chi = (1/16) * sum_ij R[i,j] * (P_j^T kron P_i).
 
@@ -142,14 +138,15 @@ def choi_tp_residual(chi: np.ndarray) -> float:
     return float(np.max(np.abs(pt - np.eye(4) / 4.0)))
 
 
-def avg_gate_fidelity(r: np.ndarray, r_ideal: np.ndarray, d: int = 4) -> float:
-    """Average gate fidelity F = (Tr(R_ideal^T R) + d) / (d**2 + d).
+def avg_gate_fidelity(r: np.ndarray, r_ideal: np.ndarray) -> float:
+    """Two-qubit average gate fidelity F = (Tr(R_ideal^T R) + 4) / 20,
+    the d = 4 case of (Tr(R_ideal^T R) + d) / (d**2 + d).
 
     No clamping is applied; values outside [0, 1] signal an unphysical
     ``r``.
     """
     tr = float(np.trace(np.asarray(r_ideal).T @ np.asarray(r)))
-    return (tr + d) / (d * d + d)
+    return (tr + 4.0) / 20.0
 
 
 def is_trace_preserving(r: np.ndarray, atol: float = 1e-9) -> bool:
@@ -178,21 +175,18 @@ def state_00(thermal_pop_1: float = 0.0, thermal_pop_2: float = 0.0) -> np.ndarr
 
 # Outcome projectors for joint Z readout, as Pauli-component selectors:
 # p(o1 o2) = (x_II + (-1)^o2 x_IZ + (-1)^o1 x_ZI + (-1)^(o1+o2) x_ZZ) / 4.
-_OUTCOME_MATRIX = np.zeros((4, 16))
+OUTCOME_MATRIX = np.zeros((4, 16))
 for _o1 in (0, 1):
     for _o2 in (0, 1):
         _row = 2 * _o1 + _o2
-        _OUTCOME_MATRIX[_row, 0] = 1.0
-        _OUTCOME_MATRIX[_row, 3] = (-1.0) ** _o2      # IZ
-        _OUTCOME_MATRIX[_row, 12] = (-1.0) ** _o1     # ZI
-        _OUTCOME_MATRIX[_row, 15] = (-1.0) ** (_o1 + _o2)  # ZZ
-_OUTCOME_MATRIX /= 4.0
-_OUTCOME_MATRIX.setflags(write=False)
+        OUTCOME_MATRIX[_row, 0] = 1.0
+        OUTCOME_MATRIX[_row, 3] = (-1.0) ** _o2      # IZ
+        OUTCOME_MATRIX[_row, 12] = (-1.0) ** _o1     # ZI
+        OUTCOME_MATRIX[_row, 15] = (-1.0) ** (_o1 + _o2)  # ZZ
+OUTCOME_MATRIX /= 4.0
+OUTCOME_MATRIX.setflags(write=False)
 
 
 def outcome_probabilities(x: np.ndarray) -> np.ndarray:
     """Joint-readout probabilities (p00, p01, p10, p11) of a Pauli vector."""
-    return _OUTCOME_MATRIX @ np.asarray(x)
-
-
-OUTCOME_MATRIX = _OUTCOME_MATRIX
+    return OUTCOME_MATRIX @ np.asarray(x)

@@ -22,8 +22,8 @@ channels from circuit layers and the device's T1/T2 (the physical
 mode), and InjectedNoiseModel composes a fixed error channel with the
 ideal Clifford action (the analytic-oracle mode).  A campaign asks a
 model for the channels of one step of all its families at a time, one
-batched product each, and likewise for each length's closing gates; it
-keeps none of them.
+batched product each, and likewise for each length's closing gates,
+which are noisy Cliffords like any other; it keeps none of them.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class _CliffordChannels:
     array (shaped ``indices.shape + (16, 16)``) in one batched product,
     or the one channel of a single index, bit for bit as in any batch.
     A campaign builds each step's channels and each length's closing
-    gates (:meth:`closing_channels`) this way and keeps none of them.
+    gates this way and keeps none of them.
     Single channels (:meth:`clifford_channel`) are kept for the model's
     life.
     """
@@ -132,10 +132,6 @@ class _CliffordChannels:
             ch.setflags(write=False)
             self._cache[index] = ch
         return ch
-
-    def closing_channels(self, indices) -> np.ndarray:
-        """Channels of the closing gates ``indices``: noisy Cliffords."""
-        return self._channels(indices)
 
 
 def _time_ordered_product(channels) -> np.ndarray:
@@ -226,8 +222,9 @@ class InjectedNoiseModel(_CliffordChannels):
     """Ideal Clifford action followed by a fixed error channel.
 
     ``gate_noise`` (default: none) applies to the interleaved gate
-    instead of the Clifford noise; ``noisy_inversion=False`` makes the
-    closing gate ideal, which is what the closed-form oracles assume.
+    instead of the Clifford noise.  The closing gate carries the
+    Clifford noise like every other step, so a depolarizing ``noise``
+    of decay p gives survival 1/4 + 3/4 * p**(m + 1) at length m.
     """
 
     def __init__(
@@ -235,22 +232,15 @@ class InjectedNoiseModel(_CliffordChannels):
         table: CliffordTable,
         noise: np.ndarray | None = None,
         gate_noise: np.ndarray | None = None,
-        noisy_inversion: bool = True,
     ):
         super().__init__(table)
         self.noise = np.eye(16) if noise is None else np.asarray(noise, float)
         self.gate_noise = (
             None if gate_noise is None else np.asarray(gate_noise, float)
         )
-        self.noisy_inversion = noisy_inversion
 
     def _channels(self, indices) -> np.ndarray:
         return np.matmul(self.noise, self.table.ptm(indices))
-
-    def closing_channels(self, indices) -> np.ndarray:
-        if self.noisy_inversion:
-            return super().closing_channels(indices)
-        return self.table.ptm(indices)
 
     def interleaved_channel(self, index: int) -> np.ndarray:
         ideal = self.table.ptm(index)
@@ -382,8 +372,7 @@ def _propagate(lengths, draws, inversions, noise, state,
             if gate_ch is not None:
                 x = np.matmul(gate_ch, x)
         done = target
-        closed[:, col] = np.matmul(noise.closing_channels(inversions[:, col]),
-                                   x)
+        closed[:, col] = np.matmul(noise._channels(inversions[:, col]), x)
     return closed
 
 

@@ -1,17 +1,20 @@
 """Quantum process tomography on two qubits.
 
-Preparation and measurement settings are the 36 pairs of one-qubit
-rotations {I, X180, X90, X-90, Y90, Y-90} applied to |00> and before
-the computational-basis readout.  Reconstruction is linear inversion of
-the probability matrix, optionally followed by a projection onto the
-completely-positive trace-preserving set in Choi space (alternating
-Dykstra projections: eigenvalue clipping for positivity, an affine
-shift for trace preservation).
+The settings are fixed: the 36 pairs of one-qubit rotations {I, X180,
+X90, X-90, Y90, Y-90}, applied to |00> for preparation and before the
+computational-basis readout for measurement.  The 36 x 36 setting pairs
+with four outcomes each give a 144 x 36 probability matrix.
+Reconstruction is linear inversion of the probability matrix,
+optionally followed by a projection onto the completely-positive
+trace-preserving set in Choi space (alternating Dykstra projections:
+eigenvalue clipping for positivity, an affine shift for trace
+preservation).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -22,55 +25,41 @@ from . import pauli
 from .cliffords import gate_perm
 
 ROTATION_NAMES = ("I", "X180", "X90", "X-90", "Y90", "Y-90")
+N_SETTINGS = len(ROTATION_NAMES) ** 2
 
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITERATIONS = 10_000
 
 
-@dataclass(frozen=True)
-class TomographySettings:
-    """The rotation set used for both state preparation and readout."""
-
-    rotations: tuple[str, ...] = ROTATION_NAMES
-
-    @property
-    def n_settings(self) -> int:
-        return len(self.rotations) ** 2
-
-    def pair_ptms(self) -> list[np.ndarray]:
-        out = []
-        for g1, g2 in itertools.product(self.rotations, repeat=2):
-            out.append(gate_perm(g1).tensor(gate_perm(g2)).to_ptm())
-        return out
+@functools.lru_cache(maxsize=None)
+def _pair_ptms() -> np.ndarray:
+    """Read-only (36, 16, 16) stack of the rotation pairs' transfer
+    matrices, the first qubit's rotation varying slowest."""
+    out = np.array([gate_perm(g1).tensor(gate_perm(g2)).to_ptm()
+                    for g1, g2 in itertools.product(ROTATION_NAMES,
+                                                    repeat=2)])
+    out.setflags(write=False)
+    return out
 
 
-DEFAULT_SETTINGS = TomographySettings()
-
-
-def preparation_matrix(
-    spam: dev.SpamModel | None = None,
-    settings: TomographySettings = DEFAULT_SETTINGS,
-) -> np.ndarray:
+def preparation_matrix(spam: dev.SpamModel | None = None) -> np.ndarray:
     """Columns are the prepared Pauli vectors, one per rotation pair."""
     spam = spam or dev.SpamModel.ideal()
-    x0 = spam.initial_state()
-    return np.column_stack([r @ x0 for r in settings.pair_ptms()])
+    # C order: BLAS rounds the products with a transposed view otherwise
+    return np.ascontiguousarray((_pair_ptms() @ spam.initial_state()).T)
 
 
-def measurement_matrix(
-    spam: dev.SpamModel | None = None,
-    settings: TomographySettings = DEFAULT_SETTINGS,
-) -> np.ndarray:
+def measurement_matrix(spam: dev.SpamModel | None = None) -> np.ndarray:
     """Rows map a Pauli vector to outcome probabilities; the row of
     outcome o under measurement setting m is index 4*m + o."""
     spam = spam or dev.SpamModel.ideal()
     readout = spam.confusion.T @ pauli.OUTCOME_MATRIX
-    return np.vstack([readout @ r for r in settings.pair_ptms()])
+    return (readout @ _pair_ptms()).reshape(4 * N_SETTINGS, 16)
 
 
 @dataclass
 class QptData:
-    probabilities: np.ndarray  # shape (4 * n_settings, n_settings)
+    probabilities: np.ndarray  # shape (144, 36)
     shots: int | None
     seed: int
 
@@ -80,35 +69,28 @@ def simulate_qpt(
     spam: dev.SpamModel | None = None,
     shots: int | None = None,
     seed: int = 1234,
-    settings: TomographySettings = DEFAULT_SETTINGS,
 ) -> QptData:
     """Outcome probabilities of every (preparation, measurement) pair.
 
     Exact by default; with ``shots`` each setting pair is sampled from
-    a multinomial over the four outcomes.
+    a multinomial over the four outcomes, all pairs in one draw,
+    measurement setting slowest.
     """
     channel = np.asarray(channel, float)
-    probs = measurement_matrix(spam, settings) @ channel \
-        @ preparation_matrix(spam, settings)
+    probs = measurement_matrix(spam) @ channel @ preparation_matrix(spam)
     if shots is not None:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 777)))
-        sampled = np.empty_like(probs)
-        for m in range(settings.n_settings):
-            block = probs[4 * m : 4 * m + 4, :]
-            block = np.clip(block, 0.0, None)
-            block = block / block.sum(axis=0, keepdims=True)
-            for s in range(settings.n_settings):
-                sampled[4 * m : 4 * m + 4, s] = (
-                    rng.multinomial(shots, block[:, s]) / shots
-                )
-        probs = sampled
+        # (measurement, outcome, preparation) blocks
+        blocks = np.clip(probs.reshape(N_SETTINGS, 4, N_SETTINGS), 0.0, None)
+        blocks = blocks / blocks.sum(axis=1, keepdims=True)
+        counts = rng.multinomial(shots, blocks.transpose(0, 2, 1))
+        probs = counts.transpose(0, 2, 1).reshape(probs.shape) / shots
     return QptData(probabilities=probs, shots=shots, seed=seed)
 
 
 def linear_inversion_ptm(
-    data: QptData | np.ndarray,
+    data: QptData,
     spam: dev.SpamModel | None = None,
-    settings: TomographySettings = DEFAULT_SETTINGS,
 ) -> np.ndarray:
     """Least-squares estimate of the transfer matrix.
 
@@ -116,10 +98,8 @@ def linear_inversion_ptm(
     true one removes preparation and readout bias, passing None (ideal)
     folds any such errors into the channel estimate.
     """
-    probs = data.probabilities if isinstance(data, QptData) else data
-    c = measurement_matrix(spam, settings)
-    x = preparation_matrix(spam, settings)
-    return np.linalg.pinv(c) @ probs @ np.linalg.pinv(x)
+    return (np.linalg.pinv(measurement_matrix(spam)) @ data.probabilities
+            @ np.linalg.pinv(preparation_matrix(spam)))
 
 
 # --- CPTP projection ---------------------------------------------------------
@@ -146,17 +126,14 @@ def _project_tp(chi: np.ndarray) -> np.ndarray:
     return chi - np.kron(excess, np.eye(4)) / 4.0
 
 
-def project_cptp(
-    r: np.ndarray,
-    tol: float = PROJECTION_TOL,
-    max_iterations: int = PROJECTION_MAX_ITERATIONS,
-) -> ProjectionResult:
+def project_cptp(r: np.ndarray) -> ProjectionResult:
     """Nearest (in the alternating-projection sense) CPTP channel.
 
     Runs Dykstra's scheme between the positive cone and the affine
     trace-preserving set, with the memory term on the cone step only,
     and stops once an iteration moves the Choi matrix by less than
-    ``tol`` in Frobenius norm.  The result always ends on the TP
+    PROJECTION_TOL in Frobenius norm, or after
+    PROJECTION_MAX_ITERATIONS iterations.  The result always ends on the TP
     projection, so the trace constraint holds to machine precision and
     any residual negativity is bounded by the final step size.
     """
@@ -165,13 +142,13 @@ def project_cptp(
     correction = np.zeros_like(chi)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, PROJECTION_MAX_ITERATIONS + 1):
         psd = _project_psd(chi + correction)
         correction = chi + correction - psd
         chi_next = _project_tp(psd)
         delta = np.linalg.norm(chi_next - chi)
         chi = chi_next
-        if delta < tol:
+        if delta < PROJECTION_TOL:
             converged = True
             break
     vals = np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)
@@ -201,10 +178,9 @@ def qpt_report(
     data: QptData,
     ideal: np.ndarray,
     spam: dev.SpamModel | None = None,
-    settings: TomographySettings = DEFAULT_SETTINGS,
 ) -> QptReport:
     """Invert, project, and score against the intended channel."""
-    raw = linear_inversion_ptm(data, spam, settings)
+    raw = linear_inversion_ptm(data, spam)
     projection = project_cptp(raw)
     return QptReport(
         raw_ptm=raw,

@@ -55,6 +55,15 @@ REFERENCE_OUTPUTS = {
 }
 
 
+# files of `qpt --shots 1000 --seed 1234 --out DIR`: sha256
+QPT_REFERENCE_FILES = {
+    "qpt_probabilities.csv":
+        "043b305628eff304b8066d1142c83b570ba9db6e62333d766e4c47e108089bd9",
+    "qpt_ptm.csv":
+        "c605131492b6e0089f623fb9b8c41223f0f4831b1696dd375cb2de613995b171",
+}
+
+
 @pytest.mark.parametrize("command", REFERENCE_OUTPUTS)
 def test_default_device_outputs_match_reference_hashes(capsys, command):
     """Any change to a printed number, however small, shows here."""
@@ -62,6 +71,16 @@ def test_default_device_outputs_match_reference_hashes(capsys, command):
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) \
         == REFERENCE_OUTPUTS[command]
+
+
+def test_qpt_files_match_reference_hashes(capsys, tmp_path):
+    """Every sampled count and every projected transfer-matrix entry."""
+    code = cli.main(["qpt", "--shots", "1000", "--seed", "1234",
+                     "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in QPT_REFERENCE_FILES} == QPT_REFERENCE_FILES
 
 
 def test_group_stats(capsys):
@@ -371,6 +390,35 @@ def test_flags_are_validated_like_config_values(capsys):
         assert field in err
         # each flag is checked as the field of the command that owns it
         assert ("qpt" in err) == (argv[0] == "qpt"), err
+
+
+@pytest.mark.parametrize("ini, argv, message", [
+    ("[device]\nt1_1_us = nan\n", ("qpt", "--exact"),
+     "t1_1_us must be a number, got nan"),
+    ("[spam]\nmisassignment = nan\n", ("qpt", "--exact"),
+     "confusion matrix entries must be finite"),
+    ("[device]\ncr_mu = nan\n", ("sweep", "cr-rabi", "--points", "3"),
+     "cr_mu must be a number, got nan"),
+    (None, ("sweep", "tau2", "--start", "nan"),
+     "tau2_start must be finite, got nan"),
+    (None, ("sweep", "cr-rabi", "--points", "3", "--stop", "inf"),
+     "rabi_stop must be finite, got inf"),
+    # only T1 and T2 may be infinite (no decoherence)
+    ("[device]\ncr_epsilon = inf\n", ("qpt", "--exact"),
+     "cr_epsilon must be finite, got inf"),
+    ("[spam]\nthermal = nan\n", ("qpt", "--exact"),
+     "thermal_pop_1 must be finite, got nan"),
+], ids=["t1_1_us", "misassignment", "cr_mu", "tau2_start", "rabi_stop",
+        "cr_epsilon", "thermal"])
+def test_non_finite_numbers_are_rejected_by_name(capsys, tmp_path, ini, argv,
+                                                 message):
+    if ini is not None:
+        path = tmp_path / "non_finite.ini"
+        path.write_text(ini)
+        argv = (*argv, "--config", str(path))
+    code, summary, err = run_cli(capsys, *argv)
+    assert (code, summary) == (1, None)
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -90,11 +90,6 @@ shots = exact
     np.testing.assert_allclose(noise.noise, rb.depolarizing_ptm(0.9))
 
 
-def test_exact_override():
-    profile = cfg.load_profile(None)
-    assert profile.rb_config(exact=True).shots is None
-
-
 def test_parse_lengths():
     assert cfg.parse_lengths("1,2,3") == (1, 2, 3)
     assert cfg.parse_lengths("1-5") == (1, 2, 3, 4, 5)

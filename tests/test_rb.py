@@ -164,13 +164,9 @@ def test_depolarizing_closed_form(table):
     p = 0.9
     cfg = _small_cfg(lengths=(1, 2, 3, 5), seed=9)
     m = np.array(cfg.lengths)[:, None]
-    clean_inv = rb.InjectedNoiseModel(
-        table, rb.depolarizing_ptm(p), noisy_inversion=False
-    )
-    noisy_inv = rb.InjectedNoiseModel(table, rb.depolarizing_ptm(p))
-    _assert_cells(rb.run_rb(cfg, table, clean_inv).survivals,
-                  0.25 + 0.75 * p**m)
-    _assert_cells(rb.run_rb(cfg, table, noisy_inv).survivals,
+    noise = rb.InjectedNoiseModel(table, rb.depolarizing_ptm(p))
+    # m noisy Cliffords and the noisy closing gate
+    _assert_cells(rb.run_rb(cfg, table, noise).survivals,
                   0.25 + 0.75 * p ** (m + 1))
 
 
@@ -501,20 +497,16 @@ def test_simultaneous_product_depolarizing(table):
     assert abs(delta) < 1e-9
 
 
-def test_simultaneous_honours_clean_inversion(table):
+def test_simultaneous_marginal_closed_form(table):
     """Under kron(D(p1), D(p2)) qubit 1's marginal survival is
-    0.5 + 0.5 * p1**m, with one more factor of p1 when the closing gate
-    is noisy too."""
+    0.5 + 0.5 * p1**(m + 1): m noisy steps and the noisy closing gate."""
     p1, p2 = 0.97, 0.99
     channel = np.kron(rb.depolarizing_ptm(p1, 1), rb.depolarizing_ptm(p2, 1))
     cfg = _small_cfg(seed=29)
     m = np.array(cfg.lengths)[:, None]
-    for noisy_inversion, extra in ((False, 0), (True, 1)):
-        noise = rb.InjectedNoiseModel(table, channel,
-                                      noisy_inversion=noisy_inversion)
-        result = rb.run_simultaneous(cfg, noise)
-        _assert_cells(result.datasets["joint_q1"].survivals,
-                      0.5 + 0.5 * p1 ** (m + extra))
+    result = rb.run_simultaneous(cfg, rb.InjectedNoiseModel(table, channel))
+    _assert_cells(result.datasets["joint_q1"].survivals,
+                  0.5 + 0.5 * p1 ** (m + 1))
 
 
 def test_simultaneous_correlated_depolarizing(table):

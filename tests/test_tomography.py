@@ -5,12 +5,22 @@ matched preparation/measurement models, pinv(C) @ (C R X) @ pinv(X)
 returns R whenever C and X have full column and row rank.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from rbsim import device as dev
-from rbsim import pauli, tomography as tomo
-from rbsim.cliffords import clifford_table
+from rbsim import pauli, rb, tomography as tomo
+from rbsim.cliffords import clifford_table, gate_perm, zx_perm
+
+SPAM_MODELS = {
+    "ideal": None,
+    "symmetric": dev.SpamModel.symmetric(thermal=0.01, misassignment=0.02),
+    "asymmetric": dev.SpamModel(
+        0.03, 0.0, np.kron([[0.9, 0.1], [0.05, 0.95]],
+                           [[0.97, 0.03], [0.02, 0.98]])),
+}
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +47,61 @@ def test_setting_matrices_are_informationally_complete():
     assert x.shape == (16, 36)
     assert np.linalg.matrix_rank(c) == 16
     assert np.linalg.matrix_rank(x) == 16
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _pair_ptms_by_loop():
+    """Reference: one rotation pair's transfer matrix at a time."""
+    return [gate_perm(g1).tensor(gate_perm(g2)).to_ptm()
+            for g1, g2 in itertools.product(tomo.ROTATION_NAMES, repeat=2)]
+
+
+def _sample_by_loop(probs, shots, seed):
+    """Reference: one multinomial draw per (measurement, preparation)
+    setting pair, measurement setting outer."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 777)))
+    sampled = np.empty_like(probs)
+    for m in range(36):
+        block = np.clip(probs[4 * m : 4 * m + 4, :], 0.0, None)
+        block = block / block.sum(axis=0, keepdims=True)
+        for s in range(36):
+            sampled[4 * m : 4 * m + 4, s] = (
+                rng.multinomial(shots, block[:, s]) / shots)
+    return sampled
+
+
+@pytest.mark.parametrize("spam", SPAM_MODELS.values(), ids=SPAM_MODELS)
+def test_setting_matrices_match_per_pair_products(spam):
+    model = spam or dev.SpamModel.ideal()
+    pairs = _pair_ptms_by_loop()
+    x0 = model.initial_state()
+    readout = model.confusion.T @ pauli.OUTCOME_MATRIX
+    assert _same_bits(tomo.preparation_matrix(spam),
+                      np.column_stack([r @ x0 for r in pairs]))
+    assert _same_bits(tomo.measurement_matrix(spam),
+                      np.vstack([readout @ r for r in pairs]))
+
+
+def test_pair_stack_is_cached_and_read_only():
+    stack = tomo._pair_ptms()
+    assert stack is tomo._pair_ptms()
+    assert stack.shape == (36, 16, 16) and not stack.flags.writeable
+
+
+@pytest.mark.parametrize("spam", [None, SPAM_MODELS["symmetric"]],
+                         ids=["ideal", "symmetric"])
+@pytest.mark.parametrize("shots", [37, 1000])
+@pytest.mark.parametrize("seed", [1, 7, 1234])
+def test_one_call_sampler_matches_per_setting_loop(table, seed, shots, spam):
+    noise = rb.DeviceNoiseModel(dev.DeviceParams(), table)
+    channel = noise.clifford_channel(table.index_of(zx_perm()))
+    exact = tomo.simulate_qpt(channel, spam=spam)
+    sampled = tomo.simulate_qpt(channel, spam=spam, shots=shots, seed=seed)
+    assert _same_bits(sampled.probabilities,
+                      _sample_by_loop(exact.probabilities, shots, seed))
 
 
 def test_probabilities_are_normalized(table):
