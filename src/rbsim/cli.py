@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -59,6 +60,9 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a flag not given stays out of args
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     def error(self, message):  # argparse would sys.exit(2); we want 1
         raise CliError(message)
 
@@ -82,50 +86,26 @@ def _emit(summary: dict, out_dir: Path | None, name: str) -> None:
         (out_dir / f"{name}.json").write_text(text + "\n")
 
 
-def _out_dir(profile, args) -> Path | None:
-    target = getattr(args, "out", None) or profile.out_dir
-    if target is None:
+def _out_dir(profile) -> Path | None:
+    if not profile.out_dir:
         return None
-    path = Path(target)
+    path = Path(profile.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-# sweep subcommand -> prefix of the profile fields its --start/--stop/--points set
-_SWEEP_FIELDS = {"cr-rabi": "rabi", "tau2": "tau2"}
 
 
 def _profile(args) -> cfgmod.RunProfile:
     """The --config profile with the command's flags applied on top.
 
-    The result is validated as a whole, so a bad flag fails with the
-    same field-level message as the same value in an INI file.
+    Each flag stores into the profile field it sets.  The result is
+    validated as a whole, so a bad flag fails with the same field-level
+    message as the same value in an INI file.
     """
-    profile = cfgmod.load_profile(getattr(args, "config", None))
-    if getattr(args, "seed", None) is not None:
-        profile.seed = args.seed
-    if getattr(args, "lengths", None) is not None:
-        profile.lengths = cfgmod.parse_lengths(args.lengths)
-    if getattr(args, "sequences", None) is not None:
-        profile.sequences = args.sequences
-    # --shots and --exact set the shot budget of the command that owns it
-    shots_field = "qpt_shots" if args.command == "qpt" else "shots"
-    if getattr(args, "shots", None) is not None:
-        setattr(profile, shots_field, args.shots)
-    if getattr(args, "exact", False):
-        setattr(profile, shots_field, None)
-    if getattr(args, "gate", None) is not None:
-        profile.interleaved_gate = args.gate
-    if getattr(args, "target", None) is not None:
-        profile.qpt_target = args.target
-    if getattr(args, "spam_aware", False):
-        profile.qpt_spam_aware = True
-    if args.command == "sweep":
-        prefix = _SWEEP_FIELDS[args.subcommand]
-        for name in ("start", "stop", "points"):
-            value = getattr(args, name)
-            if value is not None:
-                setattr(profile, f"{prefix}_{name}", value)
+    flags = vars(args)
+    profile = cfgmod.load_profile(flags.get("config"))
+    names = {f.name for f in dataclasses.fields(profile)}
+    for name in names & flags.keys():
+        setattr(profile, name, flags[name])
     cfgmod.validate(profile)
     return profile
 
@@ -153,8 +133,7 @@ def _gate_element(name: str) -> SignedPauliPerm:
 
 # --- group -------------------------------------------------------------------
 
-def cmd_group_stats(args) -> int:
-    profile = _profile(args)
+def cmd_group_stats(profile, args) -> int:
     table = clifford_table()
     stats = group_stats(table)
     summary = {
@@ -167,12 +146,11 @@ def cmd_group_stats(args) -> int:
         "avg_pulse_slots": stats.avg_pulse_slots,
         "max_word_length": stats.max_word_length,
     }
-    _emit(summary, _out_dir(profile, args), "group_stats")
+    _emit(summary, _out_dir(profile), "group_stats")
     return EXIT_OK
 
 
-def cmd_group_verify(args) -> int:
-    profile = _profile(args)
+def cmd_group_verify(profile, args) -> int:
     if args.closure_samples < 0:
         raise CliError("closure-samples must be non-negative")
     table = clifford_table()
@@ -251,7 +229,7 @@ def cmd_group_verify(args) -> int:
         summary["reason"] = reason
         if 0 <= index < n:
             summary["element_class"] = CLASS_NAMES[table.class_ids[index]]
-    _emit(summary, _out_dir(profile, args), "group_verify")
+    _emit(summary, _out_dir(profile), "group_verify")
     if failure is not None:
         print(f"verification failed at element {failure[0]}: {failure[1]}",
               file=sys.stderr)
@@ -261,13 +239,12 @@ def cmd_group_verify(args) -> int:
 
 # --- rb ----------------------------------------------------------------------
 
-def cmd_rb_standard(args) -> int:
-    profile = _profile(args)
+def cmd_rb_standard(profile, args) -> int:
     table = clifford_table()
     cfg = profile.rb_config()
     ds = rb.run_rb(cfg, table, profile.noise(table), profile.spam)
     result = rb.fit_dataset(ds)
-    out = _out_dir(profile, args)
+    out = _out_dir(profile)
     if out is not None:
         rb.write_decay_csv(out / "rb_standard.csv", [ds])
     summary = {
@@ -284,8 +261,7 @@ def cmd_rb_standard(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_rb_interleaved(args) -> int:
-    profile = _profile(args)
+def cmd_rb_interleaved(profile, args) -> int:
     table = clifford_table()
     cfg = profile.rb_config()
     noise = profile.noise(table)
@@ -299,7 +275,7 @@ def cmd_rb_interleaved(args) -> int:
         fit_ref.alpha, fit_int.alpha,
         alpha_sigma=fit_ref.alpha_sigma, alpha_c_sigma=fit_int.alpha_sigma,
     )
-    out = _out_dir(profile, args)
+    out = _out_dir(profile)
     if out is not None:
         rb.write_decay_csv(out / "rb_interleaved.csv",
                            [reference, interleaved])
@@ -325,13 +301,12 @@ def cmd_rb_interleaved(args) -> int:
     return EXIT_OK
 
 
-def cmd_rb_simultaneous(args) -> int:
-    profile = _profile(args)
+def cmd_rb_simultaneous(profile, args) -> int:
     table = clifford_table()
     cfg = profile.rb_config()
     result = rb.run_simultaneous(cfg, profile.noise(table), profile.spam)
     delta, delta_sigma = result.delta_alpha()
-    out = _out_dir(profile, args)
+    out = _out_dir(profile)
     if out is not None:
         rb.write_decay_csv(out / "rb_simultaneous.csv",
                            list(result.datasets.values()))
@@ -359,24 +334,19 @@ def cmd_rb_simultaneous(args) -> int:
 
 # --- qpt ---------------------------------------------------------------------
 
-def cmd_qpt(args) -> int:
-    profile = _profile(args)
+def cmd_qpt(profile, args) -> int:
     table = clifford_table()
     if profile.qpt_target == "identity":
         index = table.index_of(SignedPauliPerm.identity(2))
     else:
         index = table.index_of(_gate_element(profile.qpt_target))
     ideal = table.ptm(index)
-    if profile.noise_model == "device":
-        channel = rb.DeviceNoiseModel(profile.device, table) \
-            .clifford_channel(index)
-    else:
-        channel = rb.depolarizing_ptm(profile.clifford_depol) @ ideal
+    channel = profile.noise(table).clifford_channel(index)
     data = tomo.simulate_qpt(channel, spam=profile.spam,
                              shots=profile.qpt_shots, seed=profile.seed)
     assumed = profile.spam if profile.qpt_spam_aware else None
     report = tomo.qpt_report(data, ideal, spam=assumed)
-    out = _out_dir(profile, args)
+    out = _out_dir(profile)
     if out is not None:
         tomo.write_qpt_csv(out / "qpt_probabilities.csv", data)
         with open(out / "qpt_ptm.csv", "w", newline="") as handle:
@@ -409,8 +379,7 @@ def cmd_qpt(args) -> int:
 
 # --- sweeps ------------------------------------------------------------------
 
-def cmd_sweep_cr_rabi(args) -> int:
-    profile = _profile(args)
+def cmd_sweep_cr_rabi(profile, args) -> int:
     params = profile.device
     taus = np.linspace(profile.rabi_start, profile.rabi_stop,
                        profile.rabi_points)
@@ -420,7 +389,7 @@ def cmd_sweep_cr_rabi(args) -> int:
         "echo_control0": dev.echoed_rabi_sweep(params, taus, False),
         "echo_control1": dev.echoed_rabi_sweep(params, taus, True),
     }
-    out = _out_dir(profile, args)
+    out = _out_dir(profile)
     if out is not None:
         with open(out / "sweep_cr_rabi.csv", "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -446,8 +415,7 @@ def cmd_sweep_cr_rabi(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_tau2(args) -> int:
-    profile = _profile(args)
+def cmd_sweep_tau2(profile, args) -> int:
     table = clifford_table()
     grid = np.linspace(profile.tau2_start, profile.tau2_stop,
                        profile.tau2_points)
@@ -474,7 +442,7 @@ def cmd_sweep_tau2(args) -> int:
             "converged": result.converged,
             "seed": cfg.seed,
         })
-    out = _out_dir(profile, args)
+    out = _out_dir(profile)
     if out is not None:
         with open(out / "sweep_tau2.csv", "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
@@ -495,21 +463,33 @@ def cmd_sweep_tau2(args) -> int:
 def _add_run_options(p) -> None:
     p.add_argument("--config", help="INI run profile")
     p.add_argument("--seed", type=int, help="campaign seed")
-    p.add_argument("--out", help="directory for CSV/JSON artifacts")
+    p.add_argument("--out", dest="out_dir",
+                   help="directory for CSV/JSON artifacts")
 
 
-def _add_shot_options(p) -> None:
-    p.add_argument("--exact", action="store_true",
-                   help="exact probabilities instead of sampled shots")
-    p.add_argument("--shots", type=int, help="shots per data point")
+def _add_shot_options(p, dest: str) -> None:
+    """--exact and --shots, which set the shot budget ``dest``."""
+    shots = p.add_mutually_exclusive_group()
+    shots.add_argument("--exact", dest=dest, action="store_const", const=None,
+                       help="exact probabilities instead of sampled shots")
+    shots.add_argument("--shots", dest=dest, type=int,
+                       help="shots per data point")
 
 
 def _add_campaign_options(p) -> None:
     """Run and shot options plus the RB campaign's lengths and sequences."""
     _add_run_options(p)
-    _add_shot_options(p)
-    p.add_argument("--lengths", help="sequence lengths, e.g. 1-20 or 1,2,4,8")
+    _add_shot_options(p, "shots")
+    p.add_argument("--lengths", type=cfgmod.parse_lengths,
+                   help="sequence lengths, e.g. 1-20 or 1,2,4,8")
     p.add_argument("--sequences", type=int, help="sequences per length")
+
+
+def _add_sweep_options(p, prefix: str) -> None:
+    """--start, --stop and --points of the profile's ``prefix`` grid."""
+    p.add_argument("--start", dest=f"{prefix}_start", type=float)
+    p.add_argument("--stop", dest=f"{prefix}_stop", type=float)
+    p.add_argument("--points", dest=f"{prefix}_points", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     standard.set_defaults(func=cmd_rb_standard)
     inter = rb_sub.add_parser("interleaved", help="fixed-gate error bound")
     _add_campaign_options(inter)
-    inter.add_argument("--gate", choices=cfgmod.GATE_NAMES, default=None)
+    inter.add_argument("--gate", dest="interleaved_gate",
+                       choices=cfgmod.GATE_NAMES)
     inter.set_defaults(func=cmd_rb_interleaved)
     simul = rb_sub.add_parser("simultaneous", help="one-qubit protocols")
     _add_campaign_options(simul)
@@ -545,10 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     qpt = sub.add_parser("qpt", help="process tomography")
     _add_run_options(qpt)
-    _add_shot_options(qpt)
-    qpt.add_argument("--target", choices=cfgmod.GATE_NAMES + ("identity",),
-                     default=None)
-    qpt.add_argument("--spam-aware", action="store_true",
+    _add_shot_options(qpt, "qpt_shots")
+    qpt.add_argument("--target", dest="qpt_target",
+                     choices=cfgmod.QPT_TARGETS)
+    qpt.add_argument("--spam-aware", dest="qpt_spam_aware",
+                     action="store_true",
                      help="invert with the true SPAM model")
     qpt.set_defaults(func=cmd_qpt)
 
@@ -556,16 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_sub = sweep.add_subparsers(dest="subcommand", required=True)
     rabi = sweep_sub.add_parser("cr-rabi", help="drive-length oscillations")
     _add_run_options(rabi)
-    rabi.add_argument("--start", type=float, default=None)
-    rabi.add_argument("--stop", type=float, default=None)
-    rabi.add_argument("--points", type=int, default=None)
+    _add_sweep_options(rabi, "rabi")
     rabi.set_defaults(func=cmd_sweep_cr_rabi)
     tau2 = sweep_sub.add_parser("tau2",
                                 help="benchmark vs calibrated segment length")
     _add_campaign_options(tau2)
-    tau2.add_argument("--start", type=float, default=None)
-    tau2.add_argument("--stop", type=float, default=None)
-    tau2.add_argument("--points", type=int, default=None)
+    _add_sweep_options(tau2, "tau2")
     tau2.set_defaults(func=cmd_sweep_tau2)
 
     return parser
@@ -575,7 +553,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(_profile(args), args)
     except (CliError, cfgmod.ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -4,11 +4,14 @@ A profile collects everything a campaign needs: device parameters,
 state-preparation and readout error, sequence-length schedule, shot
 budget, and sweep grids.  Every key is optional; the defaults reproduce
 the stock device.  Unknown sections or keys raise ConfigError so typos
-fail loudly instead of silently benchmarking the wrong thing.
+fail loudly instead of silently benchmarking the wrong thing, and every
+rejection names its ``[section] key``, or the model field the key feeds,
+with the value.
 """
 
 from __future__ import annotations
 
+import argparse
 import configparser
 import dataclasses
 from dataclasses import dataclass, field
@@ -19,25 +22,14 @@ from . import device as dev
 from . import fit, rb
 
 
-class ConfigError(ValueError):
-    """Malformed configuration file or option value."""
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """Malformed configuration file or option value; argparse prints the
+    message when a flag's converter, such as parse_lengths, raises it."""
 
-
-_RUN_KEYS = {"seed", "out_dir"}
-_SPAM_KEYS = {"thermal_pop_1", "thermal_pop_2", "thermal", "misassignment"}
-_RB_KEYS = {
-    "lengths", "sequences", "shots", "noise_model",
-    "clifford_depol", "gate_depol", "interleaved_gate",
-}
-_QPT_KEYS = {"shots", "target", "spam_aware"}
-_SWEEP_KEYS = {
-    "rabi_start", "rabi_stop", "rabi_points",
-    "tau2_start", "tau2_stop", "tau2_points",
-}
-_DEVICE_KEYS = {f.name for f in dataclasses.fields(dev.DeviceParams)}
 
 NOISE_MODELS = ("device", "depolarizing")
 GATE_NAMES = ("zx", "cnot", "iswap", "swap")
+QPT_TARGETS = GATE_NAMES + ("identity",)
 
 
 @dataclass
@@ -104,21 +96,46 @@ def parse_lengths(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_keys(section, allowed, name):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}"
-        )
+def _shots(text: str) -> int | None:
+    return None if text.strip().lower() == "exact" else int(text)
 
 
-def _get_shots(section, key, current):
-    raw = section.get(key)
-    if raw is None:
-        return current
-    if raw.strip().lower() == "exact":
-        return None
-    return int(raw)
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# (section, key) -> (field, parser).  [device] and [spam] keys feed
+# DeviceParams and SpamModel; every other key sets a RunProfile field.
+FIELDS = {
+    ("run", "seed"): ("seed", int),
+    ("run", "out_dir"): ("out_dir", str),
+    **{("device", f.name): (f.name, float)
+       for f in dataclasses.fields(dev.DeviceParams)},
+    ("spam", "thermal"): ("thermal", float),
+    ("spam", "thermal_pop_1"): ("thermal_pop_1", float),
+    ("spam", "thermal_pop_2"): ("thermal_pop_2", float),
+    ("spam", "misassignment"): ("misassignment", float),
+    ("rb", "lengths"): ("lengths", parse_lengths),
+    ("rb", "sequences"): ("sequences", int),
+    ("rb", "shots"): ("shots", _shots),
+    ("rb", "noise_model"): ("noise_model", str),
+    ("rb", "clifford_depol"): ("clifford_depol", float),
+    ("rb", "gate_depol"): ("gate_depol", float),
+    ("rb", "interleaved_gate"): ("interleaved_gate", str.lower),
+    ("qpt", "shots"): ("qpt_shots", _shots),
+    ("qpt", "target"): ("qpt_target", str.lower),
+    ("qpt", "spam_aware"): ("qpt_spam_aware", _boolean),
+    ("sweep", "rabi_start"): ("rabi_start", float),
+    ("sweep", "rabi_stop"): ("rabi_stop", float),
+    ("sweep", "rabi_points"): ("rabi_points", int),
+    ("sweep", "tau2_start"): ("tau2_start", float),
+    ("sweep", "tau2_stop"): ("tau2_stop", float),
+    ("sweep", "tau2_points"): ("tau2_points", int),
+}
+_SECTIONS = {section for section, _ in FIELDS}
 
 
 def load_profile(path: str | None = None) -> RunProfile:
@@ -126,7 +143,8 @@ def load_profile(path: str | None = None) -> RunProfile:
     profile = RunProfile()
     if path is None:
         return profile
-    cp = configparser.ConfigParser()
+    # no interpolation: a '%' in a value is an ordinary character
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as handle:
             cp.read_file(handle)
@@ -135,75 +153,37 @@ def load_profile(path: str | None = None) -> RunProfile:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
-    known = {"run", "device", "spam", "rb", "qpt", "sweep"}
-    unknown = set(cp.sections()) - known
-    if unknown:
-        raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
+    models = {"device": {}, "spam": {}}
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, text in cp.items(section):
+            if (section, key) not in FIELDS:
+                raise ConfigError(f"[{section}] {key}: unknown key")
+            name, parse = FIELDS[section, key]
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+            if section in models:
+                models[section][name] = value
+            else:
+                setattr(profile, name, value)
 
+    spam = models["spam"]
+    thermal = spam.get("thermal", 0.0)
+    e = spam.get("misassignment", 0.0)
+    c1 = np.array([[1.0 - e, e], [e, 1.0 - e]])
     try:
-        if cp.has_section("run"):
-            sec = cp["run"]
-            _check_keys(sec, _RUN_KEYS, "run")
-            profile.seed = sec.getint("seed", profile.seed)
-            profile.out_dir = sec.get("out_dir", profile.out_dir)
-
-        if cp.has_section("device"):
-            sec = cp["device"]
-            _check_keys(sec, _DEVICE_KEYS, "device")
-            overrides = {key: float(sec[key]) for key in sec}
-            profile.device = dataclasses.replace(profile.device, **overrides)
-
-        if cp.has_section("spam"):
-            sec = cp["spam"]
-            _check_keys(sec, _SPAM_KEYS, "spam")
-            thermal = sec.getfloat("thermal", 0.0)
-            pop1 = sec.getfloat("thermal_pop_1", thermal)
-            pop2 = sec.getfloat("thermal_pop_2", thermal)
-            e = sec.getfloat("misassignment", 0.0)
-            c1 = np.array([[1.0 - e, e], [e, 1.0 - e]])
-            profile.spam = dev.SpamModel(pop1, pop2, np.kron(c1, c1))
-
-        if cp.has_section("rb"):
-            sec = cp["rb"]
-            _check_keys(sec, _RB_KEYS, "rb")
-            if "lengths" in sec:
-                profile.lengths = parse_lengths(sec["lengths"])
-            profile.sequences = sec.getint("sequences", profile.sequences)
-            profile.shots = _get_shots(sec, "shots", profile.shots)
-            profile.noise_model = sec.get("noise_model", profile.noise_model)
-            profile.clifford_depol = sec.getfloat(
-                "clifford_depol", profile.clifford_depol
-            )
-            profile.gate_depol = sec.getfloat("gate_depol", profile.gate_depol)
-            profile.interleaved_gate = sec.get(
-                "interleaved_gate", profile.interleaved_gate
-            ).lower()
-
-        if cp.has_section("qpt"):
-            sec = cp["qpt"]
-            _check_keys(sec, _QPT_KEYS, "qpt")
-            profile.qpt_shots = _get_shots(sec, "shots", profile.qpt_shots)
-            profile.qpt_target = sec.get("target", profile.qpt_target).lower()
-            profile.qpt_spam_aware = sec.getboolean(
-                "spam_aware", profile.qpt_spam_aware
-            )
-
-        if cp.has_section("sweep"):
-            sec = cp["sweep"]
-            _check_keys(sec, _SWEEP_KEYS, "sweep")
-            profile.rabi_start = sec.getfloat("rabi_start", profile.rabi_start)
-            profile.rabi_stop = sec.getfloat("rabi_stop", profile.rabi_stop)
-            profile.rabi_points = sec.getint("rabi_points",
-                                             profile.rabi_points)
-            profile.tau2_start = sec.getfloat("tau2_start", profile.tau2_start)
-            profile.tau2_stop = sec.getfloat("tau2_stop", profile.tau2_stop)
-            profile.tau2_points = sec.getint("tau2_points",
-                                             profile.tau2_points)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad config value: {exc}") from exc
-
+        profile.device = dataclasses.replace(profile.device, **models["device"])
+    except ValueError as exc:
+        raise ConfigError(f"[device] {exc}") from exc
+    try:
+        profile.spam = dev.SpamModel(spam.get("thermal_pop_1", thermal),
+                                     spam.get("thermal_pop_2", thermal),
+                                     np.kron(c1, c1))
+    except ValueError as exc:
+        raise ConfigError(f"[spam] {exc}") from exc
     validate(profile)
     return profile
 
@@ -226,22 +206,27 @@ def validate(profile: RunProfile) -> None:
             f"interleaved_gate must be one of {GATE_NAMES}, "
             f"got {profile.interleaved_gate!r}"
         )
-    if profile.qpt_target not in GATE_NAMES + ("identity",):
-        raise ConfigError(f"unknown qpt target {profile.qpt_target!r}")
+    if profile.qpt_target not in QPT_TARGETS:
+        raise ConfigError(f"qpt_target must be one of {QPT_TARGETS}, "
+                          f"got {profile.qpt_target!r}")
     for name in ("clifford_depol", "gate_depol"):
         value = getattr(profile, name)
         if not 0.0 < value <= 1.0:
             raise ConfigError(f"{name} must lie in (0, 1], got {value}")
     if profile.qpt_shots is not None and profile.qpt_shots < 1:
-        raise ConfigError("qpt shots must be positive (or exact)")
-    for name in ("rabi_points", "tau2_points"):
-        if getattr(profile, name) < 2:
-            raise ConfigError(f"{name} must be at least 2")
-    if profile.tau2_start < 0:
-        raise ConfigError("tau2_start must be non-negative")
+        raise ConfigError("qpt_shots must be positive (or exact), "
+                          f"got {profile.qpt_shots}")
     for prefix in ("rabi", "tau2"):
         start = getattr(profile, f"{prefix}_start")
         stop = getattr(profile, f"{prefix}_stop")
+        points = getattr(profile, f"{prefix}_points")
+        if points < 2:
+            raise ConfigError(f"{prefix}_points must be at least 2, "
+                              f"got {points}")
+        # a drive or segment length cannot be negative
+        if start < 0:
+            raise ConfigError(f"{prefix}_start must be non-negative, "
+                              f"got {start}")
         if not stop > start:
             raise ConfigError(f"{prefix}_stop must exceed {prefix}_start, "
                               f"got {stop} <= {start}")

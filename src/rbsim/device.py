@@ -24,11 +24,12 @@ from .cliffords import ZX_LAYER_ID, CliffordTable, Layer, gate_unitary
 IX = np.kron(pauli.I2, pauli.SIGMA_X)
 ZX = np.kron(pauli.SIGMA_Z, pauli.SIGMA_X)
 ZI = np.kron(pauli.SIGMA_Z, pauli.I2)
+X_PI_1 = np.kron(gate_unitary("X180"), pauli.I2)  # pi pulse on qubit 1
 
 # Factory default: the entangling pulse is calibrated, 4*eps*mu*tau2 = pi/2.
 _DEFAULT_MU = 0.05
 _DEFAULT_TAU2 = 178.0
-_COHERENCE_TIMES = {"t1_1_us", "t1_2_us", "t2_1_us", "t2_2_us"}
+_COHERENCE_TIMES = ("t1_1_us", "t2_1_us", "t1_2_us", "t2_2_us")
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,18 @@ class DeviceParams:
             # an infinite T1 or T2 is the decoherence-free limit
             if math.isinf(value) and f.name not in _COHERENCE_TIMES:
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for t1, t2, q in (
-            (self.t1_1_us, self.t2_1_us, 1),
-            (self.t1_2_us, self.t2_2_us, 2),
-        ):
-            if t1 <= 0 or t2 <= 0:
-                raise ValueError(f"qubit {q}: T1 and T2 must be positive")
+        for name in (*_COHERENCE_TIMES, "t_single_ns"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        for q in (1, 2):
+            t1 = getattr(self, f"t1_{q}_us")
+            t2 = getattr(self, f"t2_{q}_us")
             if t2 > 2 * t1 + 1e-12:
-                raise ValueError(f"qubit {q}: T2 = {t2} exceeds 2*T1 = {2 * t1}")
-        if self.t_single_ns <= 0:
-            raise ValueError("single-qubit gate length must be positive")
+                raise ValueError(f"t2_{q}_us = {t2} exceeds 2*T1 = {2 * t1}"
+                                 f" (t1_{q}_us = {t1})")
         if self.tau2_ns < 0:
-            raise ValueError("tau2 must be nonnegative")
+            raise ValueError(f"tau2_ns must be non-negative, got {self.tau2_ns}")
 
     @property
     def zx_gate_ns(self) -> float:
@@ -131,10 +132,9 @@ def echoed_cr_unitary(p: DeviceParams) -> np.ndarray:
     (X_pi x I) * exp(+2i*eps*mu*tau2*ZX) exactly: the IX and ZI
     contributions cancel between the segments.
     """
-    x_pi = np.kron(gate_unitary("X180"), pauli.I2)
     return (
         cr_pulse_unitary(p, p.tau2_ns, -1)
-        @ x_pi
+        @ X_PI_1
         @ cr_pulse_unitary(p, p.tau2_ns, +1)
     )
 
@@ -148,8 +148,25 @@ def zx_layer_unitary(p: DeviceParams) -> np.ndarray:
     calibration this is ZX_-pi/2 = exp(+i*pi*ZX/4).  The layer occupies
     2*tau2 plus the two single-qubit pulse slots.
     """
-    x_pi = np.kron(gate_unitary("X180"), pauli.I2)
-    return x_pi.conj().T @ echoed_cr_unitary(p)
+    return X_PI_1.conj().T @ echoed_cr_unitary(p)
+
+
+def _rabi_sweep(pulse, taus_ns, control_excited: bool) -> np.ndarray:
+    """Qubit-2 ground-state population after ``pulse(tau)`` from |00>,
+    for each tau; with ``control_excited`` qubit 1 is flipped before the
+    pulse and flipped back after it."""
+    out = np.empty(len(taus_ns))
+    for k, tau in enumerate(taus_ns):
+        psi = np.zeros(4, dtype=complex)
+        psi[0] = 1.0
+        if control_excited:
+            psi = X_PI_1 @ psi
+        psi = pulse(float(tau)) @ psi
+        if control_excited:
+            psi = X_PI_1 @ psi
+        probs = np.abs(psi) ** 2
+        out[k] = probs[0] + probs[2]  # qubit 2 in |0>
+    return out
 
 
 def cr_rabi_sweep(
@@ -161,19 +178,8 @@ def cr_rabi_sweep(
     drive for tau, optionally flip qubit 1 back, read out qubit 2.  The
     two control branches oscillate at angular frequencies 2*eps*(m -+ mu).
     """
-    x_pi = np.kron(gate_unitary("X180"), pauli.I2)
-    out = np.empty(len(taus_ns))
-    for k, tau in enumerate(taus_ns):
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = 1.0
-        if control_excited:
-            psi = x_pi @ psi
-        psi = cr_pulse_unitary(p, float(tau), +1) @ psi
-        if control_excited:
-            psi = x_pi @ psi
-        probs = np.abs(psi) ** 2
-        out[k] = probs[0] + probs[2]  # qubit 2 in |0>
-    return out
+    return _rabi_sweep(lambda tau: cr_pulse_unitary(p, tau, +1), taus_ns,
+                       control_excited)
 
 
 def echoed_rabi_sweep(
@@ -184,20 +190,11 @@ def echoed_rabi_sweep(
     Both control branches collapse onto cos^2(2*eps*mu*tau): the echo
     removes the control-state dependence of the oscillation frequency.
     """
-    x_pi = np.kron(gate_unitary("X180"), pauli.I2)
-    out = np.empty(len(taus_ns))
-    for k, tau in enumerate(taus_ns):
-        seg = dataclasses.replace(p, tau2_ns=float(tau))
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = 1.0
-        if control_excited:
-            psi = x_pi @ psi
-        psi = x_pi @ echoed_cr_unitary(seg) @ psi  # close the echo frame
-        if control_excited:
-            psi = x_pi @ psi
-        probs = np.abs(psi) ** 2
-        out[k] = probs[0] + probs[2]
-    return out
+    def pulse(tau):
+        # the closing pi pulse strips the echo frame
+        return X_PI_1 @ echoed_cr_unitary(dataclasses.replace(p, tau2_ns=tau))
+
+    return _rabi_sweep(pulse, taus_ns, control_excited)
 
 
 # --- decoherence -----------------------------------------------------------
@@ -371,9 +368,10 @@ def _pulse_rows(table: CliffordTable, t1_1_us: float, t2_1_us: float,
 
 
 def pulse_layer_channels(p: DeviceParams, table: CliffordTable) -> np.ndarray:
-    """Noisy transfer matrices of the pulse layer ids of ``table``: the
-    read-only ``(577, 16, 16)`` stack of :func:`layer_channels` with row
-    ZX_LAYER_ID left NaN.
+    """Noisy transfer matrices of the layer ids of ``table``, a read-only
+    ``(577, 16, 16)`` stack: row i < ZX_LAYER_ID is :func:`gate_channel`
+    of ``table.layers[i]`` bit for bit, row 0 (no layer) is the identity
+    and row ZX_LAYER_ID is left NaN.
 
     Pulse layers depend only on the T1/T2 values and the pulse length,
     so the rows are made once per (T1, T2, t_single) set, for the last
@@ -384,20 +382,6 @@ def pulse_layer_channels(p: DeviceParams, table: CliffordTable) -> np.ndarray:
     """
     return _pulse_rows(table, p.t1_1_us, p.t2_1_us, p.t1_2_us, p.t2_2_us,
                        p.t_single_ns)
-
-
-def layer_channels(p: DeviceParams, table: CliffordTable) -> np.ndarray:
-    """Noisy transfer matrices of every layer id of ``table``, stacked.
-
-    Row i is :func:`gate_channel` of ``table.layers[i]``, bit for bit;
-    row 0 (no layer) is the identity.  The pulse rows are those of
-    :func:`pulse_layer_channels`, and only the entangling layer goes
-    through :func:`gate_channel`.  The stack is a new read-only array.
-    """
-    stack = pulse_layer_channels(p, table).copy()
-    stack[ZX_LAYER_ID] = gate_channel(Layer("zx"), p)
-    stack.setflags(write=False)
-    return stack
 
 
 # --- SPAM ------------------------------------------------------------------
@@ -423,17 +407,19 @@ class SpamModel:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not np.all(np.isfinite(self.confusion)):
-            raise ValueError("confusion matrix entries must be finite")
+            if not 0.0 <= value <= 0.5:
+                raise ValueError(f"{name} must lie in [0, 0.5], got {value}")
+        bad = self.confusion[~np.isfinite(self.confusion)]
+        if bad.size:
+            raise ValueError(
+                f"confusion matrix entries must be finite, got {bad[0]}")
         if self.confusion.shape != (4, 4):
             raise ValueError("confusion matrix must be 4x4")
         if np.any(self.confusion < 0):
-            raise ValueError("confusion matrix entries must be nonnegative")
+            raise ValueError("confusion matrix entries must be nonnegative, "
+                             f"got {self.confusion.min()}")
         if np.max(np.abs(self.confusion.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("confusion matrix rows must sum to 1")
-        for pop in (self.thermal_pop_1, self.thermal_pop_2):
-            if not 0.0 <= pop <= 0.5:
-                raise ValueError("thermal populations must lie in [0, 0.5]")
 
     @classmethod
     def ideal(cls) -> "SpamModel":

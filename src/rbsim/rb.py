@@ -53,13 +53,17 @@ class RBConfig:
 
     def __post_init__(self):
         if len(self.lengths) == 0 or self.lengths[0] < 1:
-            raise ValueError("lengths must be positive integers")
+            raise ValueError(
+                f"lengths must be positive integers, got {self.lengths}")
         if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
-            raise ValueError("lengths must be strictly increasing")
+            raise ValueError(
+                f"lengths must be strictly increasing, got {self.lengths}")
         if self.n_sequences < 1:
-            raise ValueError("need at least one sequence per length")
+            raise ValueError(
+                f"n_sequences must be at least 1, got {self.n_sequences}")
         if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be positive (or None for exact mode)")
+            raise ValueError("shots must be positive (or None for exact "
+                             f"mode), got {self.shots}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """End-to-end command-line runs (in process, via cli.main)."""
 
+import argparse
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -357,6 +359,11 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "rb", "interleaved", "--gate", "swap",
                            "--bare")
     assert code == 1 and "bare" in err
+    # one shot budget: --shots and --exact exclude each other
+    for argv in (("rb", "standard"), ("qpt",)):
+        code, summary, err = run_cli(capsys, *argv, "--exact", "--shots", "5")
+        assert (code, summary) == (1, None)
+        assert "argument --shots: not allowed with argument --exact" in err
 
 
 def test_qpt_takes_no_campaign_flags(capsys):
@@ -382,6 +389,8 @@ def test_flags_are_validated_like_config_values(capsys):
         (("rb", "standard", "--lengths", "1-3"), "lengths"),
         (("group", "verify", "--closure-samples", "-5"),
          "closure-samples must be non-negative"),
+        (("sweep", "cr-rabi", "--start", "-5", "--points", "3"),
+         "rabi_start must be non-negative"),
     ]
     for argv, field in cases:
         code, summary, err = run_cli(capsys, *argv)
@@ -446,6 +455,78 @@ def test_shots_flags_set_only_the_owning_command():
     for argv, expected in cases:
         profile = cli._profile(parser.parse_args(argv))
         assert (profile.shots, profile.qpt_shots) == expected, argv
+
+
+RUN_FLAGS = {
+    "--seed": ("7", "seed", 7),
+    "--out": ("artifacts", "out_dir", "artifacts"),
+}
+CAMPAIGN_FLAGS = {
+    **RUN_FLAGS,
+    "--shots": ("7", "shots", 7),
+    "--exact": (None, "shots", None),
+    "--lengths": ("1-4,8", "lengths", (1, 2, 3, 4, 8)),
+    "--sequences": ("3", "sequences", 3),
+}
+
+
+def _sweep_flags(prefix):
+    return {
+        "--start": ("10", f"{prefix}_start", 10.0),
+        "--stop": ("500", f"{prefix}_stop", 500.0),
+        "--points": ("3", f"{prefix}_points", 3),
+    }
+
+
+# subcommand -> flag -> (value given, RunProfile field, value it holds)
+PROFILE_FLAGS = {
+    "group stats": RUN_FLAGS,
+    "group verify": RUN_FLAGS,
+    "rb standard": CAMPAIGN_FLAGS,
+    "rb interleaved": {**CAMPAIGN_FLAGS,
+                       "--gate": ("cnot", "interleaved_gate", "cnot")},
+    "rb simultaneous": CAMPAIGN_FLAGS,
+    "qpt": {
+        **RUN_FLAGS,
+        "--shots": ("7", "qpt_shots", 7),
+        "--exact": (None, "qpt_shots", None),
+        "--target": ("swap", "qpt_target", "swap"),
+        "--spam-aware": (None, "qpt_spam_aware", True),
+    },
+    "sweep cr-rabi": {**RUN_FLAGS, **_sweep_flags("rabi")},
+    "sweep tau2": {**CAMPAIGN_FLAGS, **_sweep_flags("tau2")},
+}
+# flags that set no profile field
+OTHER_FLAGS = {"-h", "--help", "--config", "--closure-samples",
+               "--corrupt-element"}
+
+
+def _subcommand_parsers(parser, words=()):
+    """(subcommand words, parser) of every leaf of the parser tree."""
+    branches = [action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    if not branches:
+        yield " ".join(words), parser
+    for action in branches:
+        for name, sub in action.choices.items():
+            yield from _subcommand_parsers(sub, (*words, name))
+
+
+def test_every_flag_lands_on_its_profile_field():
+    parser = cli.build_parser()
+    fields = {f.name for f in dataclasses.fields(cli.cfgmod.RunProfile)}
+    leaves = dict(_subcommand_parsers(parser))
+    assert leaves.keys() == PROFILE_FLAGS.keys()
+    for command, flags in PROFILE_FLAGS.items():
+        given = {option for action in leaves[command]._actions
+                 for option in action.option_strings}
+        assert given - OTHER_FLAGS == flags.keys(), command
+        for flag, (value, field, expected) in flags.items():
+            argv = [*command.split(), flag, *([] if value is None else [value])]
+            args = parser.parse_args(argv)
+            # the flag sets its own field and no other
+            assert fields & vars(args).keys() == {field}, argv
+            assert getattr(cli._profile(args), field) == expected, argv
 
 
 def test_seed_in_every_summary(capsys, depol_config):

@@ -1,10 +1,14 @@
 """INI profile loading and validation."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from rbsim import config as cfg
 from rbsim import rb
+from rbsim.device import DeviceParams
 
 
 def _write(tmp_path, text):
@@ -124,10 +128,67 @@ def test_rejects_bad_profiles(tmp_path, text):
     ("[sweep]\ntau2_start = 300\ntau2_stop = 100\n",
      "tau2_stop must exceed tau2_start"),
     ("[sweep]\nrabi_stop = 0\n", "rabi_stop must exceed rabi_start"),
+    ("[rb]\nsequences = abc\n", "[rb] sequences: invalid literal for int()"),
+    ("[qpt]\nspam_aware = maybe\n", "[qpt] spam_aware: not a boolean: 'maybe'"),
+    ("[spam]\nthermal = 0.7\n",
+     "[spam] thermal_pop_1 must lie in [0, 0.5], got 0.7"),
+    ("[device]\nt1_1_us = -1\n", "[device] t1_1_us must be positive, got -1.0"),
+    ("[device]\nt2_1_us = 100.0\n", "[device] t2_1_us = 100.0 exceeds 2*T1"),
+    ("[rb]\nunknown_key = 1\n", "[rb] unknown_key: unknown key"),
+    ("[nonsense]\n", "unknown section [nonsense]"),
+    ("[sweep]\nrabi_start = -1\n", "rabi_start must be non-negative, got -1.0"),
 ])
 def test_rejections_name_the_field(tmp_path, text, message):
-    with pytest.raises(cfg.ConfigError, match=message):
+    with pytest.raises(cfg.ConfigError, match=re.escape(message)):
         cfg.load_profile(_write(tmp_path, text))
+
+
+_DEVICE = DeviceParams()
+# (section, key) -> (value written, value read back where the key lands)
+INI_SAMPLES = {
+    ("run", "seed"): ("77", 77),
+    ("run", "out_dir"): ("runs/100%", "runs/100%"),
+    **{("device", f.name): (repr(getattr(_DEVICE, f.name) + 0.5),
+                            getattr(_DEVICE, f.name) + 0.5)
+       for f in dataclasses.fields(DeviceParams)},
+    # spam reads back as (thermal_pop_1, thermal_pop_2, P(00 -> 11))
+    ("spam", "thermal"): ("0.01", (0.01, 0.01, 0.0)),
+    ("spam", "thermal_pop_1"): ("0.01", (0.01, 0.0, 0.0)),
+    ("spam", "thermal_pop_2"): ("0.01", (0.0, 0.01, 0.0)),
+    ("spam", "misassignment"): ("0.5", (0.0, 0.0, 0.25)),
+    ("rb", "lengths"): ("1-4,8", (1, 2, 3, 4, 8)),
+    ("rb", "sequences"): ("12", 12),
+    ("rb", "shots"): ("exact", None),
+    ("rb", "noise_model"): ("depolarizing", "depolarizing"),
+    ("rb", "clifford_depol"): ("0.95", 0.95),
+    ("rb", "gate_depol"): ("0.9", 0.9),
+    ("rb", "interleaved_gate"): ("CNOT", "cnot"),
+    ("qpt", "shots"): ("250", 250),
+    ("qpt", "target"): ("Swap", "swap"),
+    ("qpt", "spam_aware"): ("yes", True),
+    ("sweep", "rabi_start"): ("10", 10.0),
+    ("sweep", "rabi_stop"): ("500", 500.0),
+    ("sweep", "rabi_points"): ("3", 3),
+    ("sweep", "tau2_start"): ("10", 10.0),
+    ("sweep", "tau2_stop"): ("500", 500.0),
+    ("sweep", "tau2_points"): ("3", 3),
+}
+
+
+def test_every_field_is_set_from_one_line(tmp_path):
+    assert INI_SAMPLES.keys() == cfg.FIELDS.keys()
+    for (section, key), (text, expected) in INI_SAMPLES.items():
+        profile = cfg.load_profile(
+            _write(tmp_path, f"[{section}]\n{key} = {text}\n"))
+        name, _ = cfg.FIELDS[section, key]
+        if section == "device":
+            got = getattr(profile.device, name)
+        elif section == "spam":
+            spam = profile.spam
+            got = (spam.thermal_pop_1, spam.thermal_pop_2, spam.confusion[0, 3])
+        else:
+            got = getattr(profile, name)
+        assert got == expected, (section, key)
 
 
 def test_missing_file():

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from rbsim import device, pauli, rb
-from rbsim.cliffords import Layer, clifford_table, gate_unitary, zx_perm
+from rbsim.cliffords import (ZX_LAYER_ID, Layer, clifford_table, gate_unitary,
+                             zx_perm)
 from rbsim.device import DeviceParams, SpamModel
 
 NOISELESS = DeviceParams(
@@ -321,12 +322,14 @@ REFERENCE_PARAMS = {
 @pytest.mark.parametrize("p", REFERENCE_PARAMS.values(),
                          ids=REFERENCE_PARAMS.keys())
 def test_layer_channels_equal_gate_channel_bit_for_bit(p):
+    """Rows 1-575 of the pulse-layer stack are the gate_channel of their
+    layer; row 0 (no layer) is the identity."""
     table = clifford_table()
-    stack = device.layer_channels(p, table)
+    stack = device.pulse_layer_channels(p, table)
     assert stack.shape == (len(table.layers), 16, 16)
     assert not stack.flags.writeable
     assert stack[0].tobytes() == np.eye(16).tobytes()
-    for i, layer in enumerate(table.layers[1:], start=1):
+    for i, layer in enumerate(table.layers[1:ZX_LAYER_ID], start=1):
         assert stack[i].tobytes() == device.gate_channel(layer, p).tobytes()
 
 
