@@ -12,9 +12,10 @@ import numpy as np
 from rbsim.cliffords import (
     CLASS_NAMES,
     SignedPauliPerm,
-    circuit_perm,
     clifford_table,
+    fold_layer_ids,
     group_stats,
+    layer_rows,
 )
 
 table = clifford_table()
@@ -38,15 +39,17 @@ for layer in table.circuits[index]:
         words = " ".join(f"({g1},{g2})" for g1, g2 in layer.pulses)
         print(f"  1q   {words}")
 
-# the stored circuit recomposes to the element exactly, and the stored
-# inverse really inverts it
-assert circuit_perm(table.circuits[index]) == table.elements[index]
-inverse = table.elements[table.inverse_indices[index]]
-identity = SignedPauliPerm.identity(2)
-print("\ninverse closes to identity:",
-      inverse.compose(table.elements[index]) == identity)
+# the stored circuit recomposes to the element exactly (its layer ids
+# folded over the layers' exact actions), and the stored inverse really
+# inverts it
+perm, sign = fold_layer_ids(table.layer_ids[[index]],
+                            *layer_rows(table.layers))
+assert np.array_equal(perm[0], table.perm_array[index])
+assert np.array_equal(sign[0], table.sign_array[index])
+identity = table.index_of(SignedPauliPerm.identity(2))
+closed = table.compose_indices(int(table.inverse_indices[index]), index)
+print("\ninverse closes to identity:", closed == identity)
 
 # closure spot check: the product of two random elements is a member
 a, b = (int(x) for x in rng.integers(len(table), size=2))
-product = table.elements[a].compose(table.elements[b])
-print(f"closure: element {a} after {b} lands on {table.index_of(product)}")
+print(f"closure: element {a} after {b} lands on {table.compose_indices(a, b)}")

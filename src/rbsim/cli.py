@@ -381,6 +381,8 @@ def cmd_qpt(profile, args) -> int:
 
 def cmd_sweep_cr_rabi(profile, args) -> int:
     params = profile.device
+    # first, so that a drive no segment length calibrates writes nothing
+    calibrated_tau2 = dev.calibrated_tau2(params)
     taus = np.linspace(profile.rabi_start, profile.rabi_stop,
                        profile.rabi_points)
     curves = {
@@ -409,7 +411,7 @@ def cmd_sweep_cr_rabi(profile, args) -> int:
         "omega_control0_rad_per_ns": 2.0 * eps * (m - mu),
         "omega_control1_rad_per_ns": 2.0 * eps * (m + mu),
         "omega_echo_rad_per_ns": 4.0 * eps * mu,
-        "calibrated_tau2_ns": dev.calibrated_tau2(params),
+        "calibrated_tau2_ns": calibrated_tau2,
     }
     _emit(summary, out, "sweep_cr_rabi")
     return EXIT_OK

@@ -1,10 +1,12 @@
 """Exact two-qubit Clifford group with device-level circuit realizations.
 
 Clifford channels are represented as signed permutations of the Pauli
-labels (index 0, the identity label, is always fixed with sign +1).
-Composition, inversion and tensor products are integer operations, so
-the full group of 11520 two-qubit elements is enumerated and manipulated
-without any floating point error.
+labels (index 0, the identity label, is always fixed with sign +1), held
+as integer (perm, sign) rows.  All arithmetic, composition, inversion
+and tensor products, is done on numpy arrays of such rows, so the full
+group of 11520 two-qubit elements is enumerated and manipulated without
+any floating point error.  :class:`SignedPauliPerm` is the validated
+form of one element, for input and inspection; it does no arithmetic.
 
 The group is built the way a cross-resonance device realizes it: every
 element is assigned a circuit made of single-qubit pulse layers drawn
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -114,40 +115,8 @@ class SignedPauliPerm:
             sign.append(int(col[hits[0]]))
         return cls(tuple(perm), tuple(sign))
 
-    def compose(self, other: "SignedPauliPerm") -> "SignedPauliPerm":
-        """self after other (matrix product self @ other)."""
-        op, os_ = other.perm, other.sign
-        sp, ss = self.perm, self.sign
-        perm = tuple(sp[op[j]] for j in range(len(sp)))
-        sign = tuple(os_[j] * ss[op[j]] for j in range(len(sp)))
-        return SignedPauliPerm(perm, sign)
-
-    def inverse(self) -> "SignedPauliPerm":
-        n = len(self.perm)
-        perm = [0] * n
-        sign = [1] * n
-        for j in range(n):
-            perm[self.perm[j]] = j
-            sign[self.perm[j]] = self.sign[j]
-        return SignedPauliPerm(tuple(perm), tuple(sign))
-
-    def tensor(self, other: "SignedPauliPerm") -> "SignedPauliPerm":
-        """Two-qubit element acting as self on qubit 1, other on qubit 2."""
-        if len(self.perm) != 4 or len(other.perm) != 4:
-            raise ValueError("tensor expects two one-qubit elements")
-        perm = [0] * 16
-        sign = [1] * 16
-        for a in range(4):
-            for b in range(4):
-                perm[4 * a + b] = 4 * self.perm[a] + other.perm[b]
-                sign[4 * a + b] = self.sign[a] * other.sign[b]
-        return SignedPauliPerm(tuple(perm), tuple(sign))
-
     def to_ptm(self) -> np.ndarray:
-        n = len(self.perm)
-        r = np.zeros((n, n))
-        r[list(self.perm), range(n)] = self.sign
-        return r
+        return rows_ptm(np.array(self.perm), np.array(self.sign))
 
     @property
     def key(self) -> tuple:
@@ -176,14 +145,6 @@ class Layer:
     kind: str
     pulses: tuple[tuple[str, str], ...] = ()
 
-    def perm(self) -> SignedPauliPerm:
-        if self.kind == "zx":
-            return zx_perm()
-        acc = SignedPauliPerm.identity(2)
-        for g1, g2 in self.pulses:
-            acc = gate_perm(g1).tensor(gate_perm(g2)).compose(acc)
-        return acc
-
     @property
     def n_slots(self) -> int:
         return len(self.pulses) if self.kind == "1q" else 0
@@ -208,54 +169,6 @@ def single_qubit_layer(word1: tuple[str, ...], word2: tuple[str, ...]) -> Layer 
     return Layer("1q", tuple(zip(w1, w2)))
 
 
-def circuit_perm(circuit: Circuit) -> SignedPauliPerm:
-    """Fold the exact channel of a circuit (layers in time order)."""
-    acc = SignedPauliPerm.identity(2)
-    for layer in circuit:
-        acc = layer.perm().compose(acc)
-    return acc
-
-
-def word_perm(word: tuple[str, ...]) -> SignedPauliPerm:
-    """Exact one-qubit channel of a pulse word (time order)."""
-    acc = SignedPauliPerm.identity(1)
-    for g in word:
-        acc = gate_perm(g).compose(acc)
-    return acc
-
-
-@functools.lru_cache(maxsize=None)
-def c1_elements() -> tuple[tuple[SignedPauliPerm, ...], tuple[tuple[str, ...], ...]]:
-    """The 24 one-qubit Cliffords with shortest pulse words (BFS).
-
-    Returns (elements, words) in discovery order, identity first.  Word
-    entries are in time order.
-    """
-    ident = SignedPauliPerm.identity(1)
-    words: dict[tuple, tuple[str, ...]] = {ident.key: ()}
-    order = [ident]
-    queue = deque([ident])
-    while queue:
-        elem = queue.popleft()
-        word = words[elem.key]
-        for g in _GENERATORS:
-            new = gate_perm(g).compose(elem)
-            if new.key not in words:
-                words[new.key] = word + (g,)
-                order.append(new)
-                queue.append(new)
-    if len(order) != 24:
-        raise RuntimeError(f"one-qubit Clifford search found {len(order)} elements")
-    return tuple(order), tuple(words[e.key] for e in order)
-
-
-@functools.lru_cache(maxsize=None)
-def s1_elements() -> tuple[SignedPauliPerm, SignedPauliPerm, SignedPauliPerm]:
-    """The axis-cycling subgroup {I, S, S^2} with S: X->Y->Z->X."""
-    s = SignedPauliPerm(perm=(0, 2, 3, 1), sign=(1, 1, 1, 1))
-    return (SignedPauliPerm.identity(1), s, s.compose(s))
-
-
 # --- integer arithmetic on (perm, sign) rows -------------------------------
 #
 # Arrays of elements are kept as a perm row and a sign row per element
@@ -269,6 +182,10 @@ def s1_elements() -> tuple[SignedPauliPerm, SignedPauliPerm, SignedPauliPerm]:
 _KEY_LABELS = np.array([1, 3, 4, 12])
 _KEY_WEIGHTS = 1 << (5 * np.arange(4, dtype=np.int64))
 
+# perm rows of the axis-cycling subgroup {I, S, S^2} of the one-qubit
+# group, S: X -> Y -> Z -> X; every sign is +1
+_AXIS_CYCLES = np.array([[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
+
 
 def compose_rows(a_perm, a_sign, b_perm, b_sign):
     """(perm, sign) rows of a after b, over matching leading axes."""
@@ -279,6 +196,17 @@ def compose_rows(a_perm, a_sign, b_perm, b_sign):
 def _inverse(perm, sign):
     inv = np.argsort(perm, axis=-1)
     return inv, np.take_along_axis(sign, inv, axis=-1)
+
+
+def rows_ptm(perm, sign) -> np.ndarray:
+    """Transfer matrices of (perm, sign) rows, one per row (shape
+    ``perm.shape[:-1] + (n, n)``): column j holds ``sign[j]`` in row
+    ``perm[j]``."""
+    perm = np.asarray(perm)[..., None, :]
+    n = perm.shape[-1]
+    r = np.zeros(perm.shape[:-2] + (n, n))
+    np.put_along_axis(r, perm, np.asarray(sign)[..., None, :], axis=-2)
+    return r
 
 
 def _image_keys(perm, sign):
@@ -304,6 +232,12 @@ def _pair_rows(perm, sign) -> tuple[np.ndarray, np.ndarray]:
              + perm[None, :, None, :]).reshape(n * n, 16),
             (sign[:, None, :, None]
              * sign[None, :, None, :]).reshape(n * n, 16))
+
+
+def pulse_pair_rows(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) rows of every pair of named pulses: row n*i + j is
+    pulse ``names[i]`` on qubit 1 and ``names[j]`` on qubit 2."""
+    return _pair_rows(*_stack([gate_perm(name) for name in names]))
 
 
 class _KeyIndex:
@@ -362,6 +296,40 @@ def _circuit(layers: tuple, ids: np.ndarray) -> Circuit:
     return tuple(layers[i] for i in ids.tolist() if i)
 
 
+@functools.lru_cache(maxsize=None)
+def c1_elements() -> tuple[_RowView, tuple[tuple[str, ...], ...]]:
+    """The 24 one-qubit Cliffords with shortest pulse words (BFS).
+
+    Returns (elements, words) in discovery order, identity first.  The
+    elements are a read-only sequence of SignedPauliPerm whose
+    ``arrays`` are the read-only (24, 4) perm and sign rows.  Word
+    entries are in time order.
+    """
+    gen_perm, gen_sign = _stack([gate_perm(g) for g in _GENERATORS])
+    perm, sign = [np.arange(4)], [np.ones(4, dtype=np.int8)]
+    words = [()]
+    seen = {perm[0].tobytes() + sign[0].tobytes()}
+    # the lists are the queue: element k is expanded after all before it
+    k = 0
+    while k < len(words):
+        new_perm, new_sign = compose_rows(gen_perm, gen_sign,
+                                          perm[k][None], sign[k][None])
+        for g, p, s in zip(_GENERATORS, new_perm, new_sign):
+            key = p.tobytes() + s.tobytes()
+            if key not in seen:
+                seen.add(key)
+                perm.append(p)
+                sign.append(s)
+                words.append(words[k] + (g,))
+        k += 1
+    if len(words) != 24:
+        raise RuntimeError(f"one-qubit Clifford search found {len(words)} elements")
+    rows = (np.array(perm), np.array(sign))
+    for array in rows:
+        array.setflags(write=False)
+    return _RowView(_element, *rows), tuple(words)
+
+
 class CliffordTable:
     """The full two-qubit Clifford group, indexed, with circuits.
 
@@ -386,119 +354,119 @@ class CliffordTable:
 
     def __init__(self):
         c1, c1_words = c1_elements()
-        s1 = s1_elements()
-        c1_index = {e.key: i for i, e in enumerate(c1)}
         # one shared Layer per layer id; id 0, two empty words, is None
         layers = (*(single_qubit_layer(wa, wb) for wa in c1_words
                     for wb in c1_words), Layer("zx"))
 
-        def pair_id(a: SignedPauliPerm, b: SignedPauliPerm) -> int:
-            return 24 * c1_index[a.key] + c1_index[b.key]
-
-        # Class-1 products: row 24*i + j is c1[i] (x) c1[j].
-        pair_perm, pair_sign = _pair_rows(*_stack(c1))
+        # The exact action of every layer id: row 24*i + j is the class-1
+        # element c1[i] (x) c1[j], row ZX_LAYER_ID the entangling layer.
+        pair_perm, pair_sign = _pair_rows(*c1.arrays)
         class1 = _KeyIndex(pair_perm, pair_sign)
+        zx_rows = _stack([zx_perm()])
+        layer_perm = np.concatenate([pair_perm, zx_rows[0]])
+        layer_sign = np.concatenate([pair_sign, zx_rows[1]])
 
-        cnot_perm = SignedPauliPerm.from_unitary(CNOT)
-        iswap_perm = SignedPauliPerm.from_unitary(ISWAP)
-        swap_perm = SignedPauliPerm.from_unitary(SWAP)
-        zx = zx_perm()
+        # one-qubit products as indices: mul[a, b] is c1[a] after c1[b],
+        # read off the products of the rows c1[a] (x) I, ids 24*a
+        one_perm, one_sign = layer_perm[:576:24], layer_sign[:576:24]
+        mul = class1.find(*compose_rows(one_perm[:, None], one_sign[:, None],
+                                        one_perm[None], one_sign[None])) // 24
 
-        # CNOT = (post1 x post2) . ZX exactly (up to global phase).
-        cnot_post = cnot_perm.compose(zx.inverse())
-        post = int(class1.find(*_stack([cnot_post]))[0])
-        if post < 0:
-            raise RuntimeError("CNOT correction layer is not single-qubit")
-        cnot_post_pair = (c1[post // 24], c1[post % 24])
+        def unitary_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return _stack([SignedPauliPerm.from_unitary(u)])
 
-        # iSWAP = (post1 x post2) . ZX . M . ZX . (pre1 x pre2) for some
-        # class-1 middle M and an S-pair pre-layer; the first match in
-        # enumeration order (M, then pre1, then pre2) keeps the build
-        # deterministic.  All 576 x 9 candidates are tried at once.
-        zx_rows = _stack([zx])
-        core_p, core_s = _inverse(*compose_rows(
-            *zx_rows, *compose_rows(pair_perm, pair_sign, *zx_rows)))
-        s_pairs = [(pa, pb) for pa in s1 for pb in s1]
-        left_p, left_s = compose_rows(
-            *_stack([iswap_perm]),
-            *_inverse(*_stack([pa.tensor(pb) for pa, pb in s_pairs])))
-        # (576, 9) candidates: iSWAP . pre^-1 . (ZX . M . ZX)^-1
-        hits = class1.find(*compose_rows(
-            left_p[None], left_s[None], core_p[:, None], core_s[:, None]
-        )).ravel()
-        first = np.flatnonzero(hits >= 0)
-        if first.size == 0:
-            raise RuntimeError("no two-entangler decomposition of iSWAP found")
-        m, s = divmod(int(first[0]), len(s_pairs))
-        post = int(hits[first[0]])
-        iswap_post_pair = (c1[post // 24], c1[post % 24])
-        iswap_pre = s_pairs[s]
+        def first_post(targets, heads) -> tuple[int, int]:
+            """The first (head, target) pair, heads outer, that a class-1
+            post layer P completes as P . head = target, and P's id.
+            ``targets`` are (perm, sign) rows, ``heads`` rows of layer
+            ids; the pair of head h and target t is number
+            ``h * len(targets) + t``."""
+            inv_perm, inv_sign = _inverse(
+                *fold_layer_ids(heads, layer_perm, layer_sign))
+            hits = class1.find(*compose_rows(
+                targets[0][None], targets[1][None],
+                inv_perm[:, None], inv_sign[:, None])).ravel()
+            first = np.flatnonzero(hits >= 0)
+            if first.size == 0:
+                raise RuntimeError("no circuit of the template reaches the "
+                                   "target gate")
+            return int(first[0]), int(hits[first[0]])
+
+        # CNOT = P . ZX for a class-1 post layer P.
+        _, cnot_post = first_post(unitary_rows(CNOT), [[ZX_LAYER_ID]])
+
+        # iSWAP = P . ZX . M . ZX . pre for some class-1 middle M and an
+        # S-pair pre-layer; the first match in enumeration order (M,
+        # then the S-pair) keeps the build deterministic.  All 576 x 9
+        # candidates are tried at once.
+        s_pairs = class1.find(*_pair_rows(
+            _AXIS_CYCLES, np.ones(_AXIS_CYCLES.shape, dtype=np.int8)))
+        cores = np.full((576, 3), ZX_LAYER_ID)
+        cores[:, 1] = np.arange(576)
+        first, iswap_post = first_post(
+            compose_rows(*unitary_rows(ISWAP),
+                         *_inverse(layer_perm[s_pairs], layer_sign[s_pairs])),
+            cores)
+        iswap_middle, s = divmod(first, len(s_pairs))
+        iswap_pre = int(s_pairs[s])
 
         # SWAP from the textbook three-CNOT identity: with
         # CNOT = P.ZX and the reversed CNOT = (HxH).CNOT.(HxH),
         # SWAP = P.ZX.(HxH).P.ZX.(HxH).P.ZX, i.e. both middles equal
-        # (HxH).P where P is the CNOT correction layer.
-        h = SignedPauliPerm.from_unitary(
-            np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        )
-        p1, p2 = cnot_post_pair
-        swap_middle = h.compose(p1).tensor(h.compose(p2))
-        check = cnot_post.compose(zx).compose(
-            swap_middle.compose(zx).compose(swap_middle.compose(zx))
-        )
-        if check.key != swap_perm.key:
+        # (HxH).P where P is the CNOT post layer.
+        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        h = class1.find(*unitary_rows(np.kron(hadamard, pauli.I2)))[0] // 24
+        p1, p2 = divmod(cnot_post, 24)
+        swap_middle = int(24 * mul[h, p1] + mul[h, p2])
+        swap_head = (ZX_LAYER_ID, swap_middle, ZX_LAYER_ID, swap_middle,
+                     ZX_LAYER_ID)
+        if first_post(unitary_rows(SWAP), [swap_head])[1] != cnot_post:
             raise RuntimeError("three-entangler SWAP identity failed to verify")
-        swap_middle = pair_id(h.compose(p1), h.compose(p2))
 
-        def post_ids(post_pair) -> np.ndarray:
-            """Post layer of (A x B) . core for every (A, B) in class-1
-            order: the core's post corrections absorbed into A and B."""
-            qa = np.array([c1_index[a.compose(post_pair[0]).key] for a in c1])
-            qb = np.array([c1_index[b.compose(post_pair[1]).key] for b in c1])
-            return (24 * qa[:, None] + qb[None, :]).ravel()
+        def post_ids(post: int) -> np.ndarray:
+            """Post layer of (A x B) . P for every (A, B) in class-1
+            order, P the layer ``post``: P absorbed into A and B."""
+            p1, p2 = divmod(post, 24)
+            return (24 * mul[:, p1, None] + mul[None, :, p2]).ravel()
 
-        blocks = [(pair_perm, pair_sign)]
-        id_blocks = [np.arange(576)[:, None]]
-        class_ids = [0] * 576
-
-        def add_block(right: SignedPauliPerm, head: tuple, posts, cls: int):
-            """(A x B) . right for every class-1 (A, B), in class-1 order.
-            ``head`` and ``posts`` are layer ids; 0 (no layer) is dropped
-            from the head and ends the circuit as a post."""
-            blocks.append(compose_rows(pair_perm, pair_sign, *_stack([right])))
-            head = [i for i in head if i]
-            ids = np.empty((576, len(head) + 1), dtype=np.intp)
-            ids[:, :-1] = head
-            ids[:, -1] = posts
-            id_blocks.append(ids)
-            class_ids.extend([cls] * 576)
-
-        # classes 2 and 3: (A x B) . core . (sa x sb).  The circuit
-        # absorbs the core's own pre-layer (an S-pair) into the sampled
-        # S-pair, and the core's post corrections into A and B.
-        ident1 = SignedPauliPerm.identity(1)
-        for core_perm, cls, post_pair, middles, core_pre in (
-            (cnot_perm, 1, cnot_post_pair, (), (ident1, ident1)),
-            (iswap_perm, 2, iswap_post_pair, (m,), iswap_pre),
+        # The blocks of 576 elements, one element per class-1 (A, B),
+        # each a head (layer ids, 0 for no layer), its post layer per
+        # element, and a class.  Class 1 is the pairs themselves.
+        # Classes 2 and 3 are (A x B) . core . (sa x sb) for each S-pair
+        # (sa, sb): the circuit absorbs the core's pre-layer (an S-pair)
+        # into the sampled S-pair, and the core's post layer into A and
+        # B.  Class 4 is (A x B) . SWAP.
+        heads, posts, class_ids = [()], [np.arange(576)], [0]
+        sa, sb = np.divmod(s_pairs, 24)
+        for core_pre, middles, post, cls in (
+            (0, (), cnot_post, 1),
+            (iswap_pre, (iswap_middle, ZX_LAYER_ID), iswap_post, 2),
         ):
-            posts = post_ids(post_pair)
-            for sa in s1:
-                for sb in s1:
-                    pre = pair_id(core_pre[0].compose(sa),
-                                  core_pre[1].compose(sb))
-                    head = (pre, ZX_LAYER_ID)
-                    for middle in middles:
-                        head += (middle, ZX_LAYER_ID)
-                    add_block(core_perm.compose(sa.tensor(sb)), head, posts,
-                              cls)
+            pa, pb = divmod(core_pre, 24)
+            for pre in (24 * mul[pa, sa] + mul[pb, sb]).tolist():
+                heads.append((pre, ZX_LAYER_ID, *middles))
+                posts.append(post_ids(post))
+                class_ids.append(cls)
+        heads.append(swap_head)
+        posts.append(post_ids(cnot_post))
+        class_ids.append(3)
 
-        # class 4: (A x B) . SWAP
-        add_block(swap_perm, (ZX_LAYER_ID, swap_middle, ZX_LAYER_ID,
-                              swap_middle, ZX_LAYER_ID),
-                  post_ids(cnot_post_pair), 3)
-
-        perm = np.concatenate([p for p, _ in blocks])
-        sign = np.concatenate([s for _, s in blocks])
+        # A circuit is its head, without the no-layer ids, then its post.
+        # Each block's elements are its post rows after its head's fold.
+        heads = [[i for i in head if i] for head in heads]
+        head_ids = np.zeros((len(heads), MAX_LAYERS), dtype=np.int16)
+        for b, head in enumerate(heads):
+            head_ids[b, :len(head)] = head
+        posts = np.array(posts)
+        self.layer_ids = np.repeat(head_ids, 576, axis=0)
+        self.layer_ids[np.arange(posts.size),
+                       np.repeat([len(head) for head in heads], 576)
+                       ] = posts.ravel()
+        head_perm, head_sign = fold_layer_ids(head_ids, layer_perm,
+                                              layer_sign)
+        perm, sign = (rows.reshape(-1, 16) for rows in compose_rows(
+            layer_perm[posts], layer_sign[posts],
+            head_perm[:, None], head_sign[:, None]))
         self._index = _KeyIndex(perm, sign)
         if self._index.has_duplicates():
             raise RuntimeError("duplicate element during group build")
@@ -509,14 +477,9 @@ class CliffordTable:
         self.sign_array = sign
         self.elements = _RowView(_element, perm, sign)
         self.layers = layers
-        self.layer_ids = np.zeros((len(perm), MAX_LAYERS), dtype=np.int16)
-        start = 0
-        for ids in id_blocks:
-            self.layer_ids[start:start + len(ids), :ids.shape[1]] = ids
-            start += len(ids)
         self.circuits = _RowView(functools.partial(_circuit, layers),
                                  self.layer_ids)
-        self.class_ids = np.array(class_ids, dtype=np.int8)
+        self.class_ids = np.repeat(np.array(class_ids, dtype=np.int8), 576)
         self.inverse_indices = self._index.locate(
             _keys(*_inverse(perm, sign)))
         # the arrays are the elements, shared by every user of the table
@@ -589,11 +552,7 @@ class CliffordTable:
     def ptm(self, index) -> np.ndarray:
         """Ideal transfer matrix of element ``index``; for an int array
         of indices, one matrix per index (shape ``index.shape + (16, 16)``)."""
-        perm = self.perm_array[index][..., None, :]
-        r = np.zeros(perm.shape[:-2] + (16, 16))
-        np.put_along_axis(r, perm, self.sign_array[index][..., None, :],
-                          axis=-2)
-        return r
+        return rows_ptm(self.perm_array[index], self.sign_array[index])
 
     def decompose(self, target: SignedPauliPerm | np.ndarray) -> Circuit:
         """Circuit of a group element given as a perm or a unitary."""
@@ -607,8 +566,7 @@ def fold_layer_ids(layer_ids, layer_perm, layer_sign
     """Exact channels of circuits given as layer ids (time order, one
     row per circuit) as (perm, sign) rows; row i of ``layer_perm`` and
     ``layer_sign`` is the action of layer id i (see :func:`layer_rows`).
-    The fold takes one gather per layer position: the vectorised
-    counterpart of :func:`circuit_perm`.
+    The fold takes one gather per layer position.
     """
     layer_ids = np.asarray(layer_ids)
     perm = np.broadcast_to(np.arange(16), (len(layer_ids), 16))
@@ -622,12 +580,10 @@ def fold_layer_ids(layer_ids, layer_perm, layer_sign
 def layer_rows(layers: Sequence[Layer | None]
                ) -> tuple[np.ndarray, np.ndarray]:
     """Exact actions of layers as (perm, sign) rows, the identity for
-    None: the array counterpart of :meth:`Layer.perm`.  Pulse layers are
-    folded slot by slot from the gate_perm rows of the pulse alphabet,
-    all layers at once."""
+    None.  Pulse layers are folded slot by slot from the pulse-pair rows
+    of the pulse alphabet, all layers at once."""
     gates = {name: i for i, name in enumerate(GATE_NAMES)}
-    pulse_perm, pulse_sign = _pair_rows(
-        *_stack([gate_perm(name) for name in GATE_NAMES]))
+    pulse_perm, pulse_sign = pulse_pair_rows(GATE_NAMES)
     slots = max(layer.n_slots for layer in layers if layer is not None)
     # gate pair of each slot, padded with (I, I), pair 0
     pairs = np.zeros((len(layers), slots), dtype=np.intp)

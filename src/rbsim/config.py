@@ -143,8 +143,9 @@ def load_profile(path: str | None = None) -> RunProfile:
     profile = RunProfile()
     if path is None:
         return profile
-    # no interpolation: a '%' in a value is an ordinary character
-    cp = configparser.ConfigParser(interpolation=None)
+    # no interpolation: a '%' in a value is an ordinary character; no
+    # default section: [DEFAULT] is an ordinary section, rejected as unknown
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as handle:
             cp.read_file(handle)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pauli
-from .cliffords import ZX_LAYER_ID, CliffordTable, Layer, gate_unitary
+from .cliffords import (ZX_LAYER_ID, CliffordTable, Layer, gate_unitary,
+                        layer_rows)
 
 IX = np.kron(pauli.I2, pauli.SIGMA_X)
 ZX = np.kron(pauli.SIGMA_Z, pauli.SIGMA_X)
@@ -97,14 +98,21 @@ class DeviceParams:
     def with_calibration(self, tau2_ns: float | None = None) -> "DeviceParams":
         """Copy with the drive amplitude solving 4*eps*mu*tau2 = pi/2."""
         tau2 = self.tau2_ns if tau2_ns is None else tau2_ns
-        if tau2 <= 0 or self.cr_mu == 0:
-            raise ValueError("calibration needs tau2 > 0 and mu != 0")
+        if tau2 <= 0:
+            raise ValueError(f"calibration needs tau2_ns > 0, got {tau2}")
+        if self.cr_mu == 0:
+            raise ValueError(f"calibration needs cr_mu != 0, got {self.cr_mu}")
         eps = math.pi / (8.0 * self.cr_mu * tau2)
         return dataclasses.replace(self, tau2_ns=tau2, cr_epsilon=eps)
 
 
 def calibrated_tau2(p: DeviceParams) -> float:
-    """Segment length at which the current amplitudes give ZX_-pi/2."""
+    """Segment length at which the current amplitudes give ZX_-pi/2;
+    ValueError for a zero drive, which no segment length calibrates."""
+    for name in ("cr_epsilon", "cr_mu"):
+        if getattr(p, name) == 0:
+            raise ValueError(
+                f"calibration needs {name} != 0, got {getattr(p, name)}")
     return math.pi / (8.0 * p.cr_epsilon * p.cr_mu)
 
 
@@ -297,16 +305,6 @@ def layer_duration_ns(layer: Layer, p: DeviceParams) -> float:
     return layer.n_slots * p.t_single_ns
 
 
-@functools.lru_cache(maxsize=4096)
-def _pulse_layer_perm(layer: Layer) -> np.ndarray:
-    """Exact ideal action of a pulse layer, independent of the device,
-    as one int8 array of rows (perm, sign): Pauli j goes to sign[j]
-    times Pauli perm[j].  One small array per layer keeps the cache
-    compact."""
-    elem = layer.perm()
-    return np.array((elem.perm, elem.sign), dtype=np.int8)
-
-
 @functools.lru_cache(maxsize=8192)
 def gate_channel(layer: Layer, p: DeviceParams) -> np.ndarray:
     """Noisy transfer matrix of one circuit layer.
@@ -334,8 +332,8 @@ def gate_channel(layer: Layer, p: DeviceParams) -> np.ndarray:
     else:
         # times a signed permutation matrix: column j of the product is
         # column perm[j] of the decoherence part, times sign[j]
-        perm, sign = _pulse_layer_perm(layer)
-        noisy = decay[:, perm] * sign
+        perm, sign = layer_rows((layer,))
+        noisy = decay[:, perm[0]] * sign[0]
     noisy.setflags(write=False)
     return noisy
 

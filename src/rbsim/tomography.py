@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import device as dev
 from . import pauli
-from .cliffords import gate_perm
+from .cliffords import pulse_pair_rows, rows_ptm
 
 ROTATION_NAMES = ("I", "X180", "X90", "X-90", "Y90", "Y-90")
 N_SETTINGS = len(ROTATION_NAMES) ** 2
@@ -35,9 +34,7 @@ PROJECTION_MAX_ITERATIONS = 10_000
 def _pair_ptms() -> np.ndarray:
     """Read-only (36, 16, 16) stack of the rotation pairs' transfer
     matrices, the first qubit's rotation varying slowest."""
-    out = np.array([gate_perm(g1).tensor(gate_perm(g2)).to_ptm()
-                    for g1, g2 in itertools.product(ROTATION_NAMES,
-                                                    repeat=2)])
+    out = rows_ptm(*pulse_pair_rows(ROTATION_NAMES))
     out.setflags(write=False)
     return out
 

@@ -7,7 +7,8 @@ import pytest
 
 from rbsim import device as dev
 from rbsim import rb
-from rbsim.cliffords import clifford_table, zx_perm
+from rbsim.cliffords import (Layer, c1_elements, clifford_table,
+                             single_qubit_layer, zx_perm)
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +81,20 @@ def test_channel_lookups_one_index_at_a_time(table):
     assert step[0].tobytes() == noise.clifford_channel(4321).tobytes()
     assert step[1].tobytes() == noise.clifford_channel(5).tobytes()
     assert step[2].tobytes() == step[0].tobytes()
+
+
+def test_clifford_calls_the_mirror_makes(table):
+    """The mirror takes the one-qubit words from c1_elements() and zips
+    them into the table's pulse layers; the checks read an element's
+    ideal matrix through elements[k].to_ptm() and find the ZX element
+    with index_of(zx_perm())."""
+    _, words = c1_elements()
+    assert len(words) == 24
+    for i in range(24):
+        for j in range(24):
+            layer = single_qubit_layer(words[i], words[j])
+            assert layer == table.layers[24 * i + j]
+    for k in (0, 1, 577, 4321, 11519):
+        assert table.elements[k].to_ptm().tobytes() == table.ptm(k).tobytes()
+    zx = table.index_of(zx_perm())
+    assert table.circuits[zx] == (Layer("zx"),)

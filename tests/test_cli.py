@@ -364,6 +364,16 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
         code, summary, err = run_cli(capsys, *argv, "--exact", "--shots", "5")
         assert (code, summary) == (1, None)
         assert "argument --shots: not allowed with argument --exact" in err
+    # a zero drive is a valid device that no segment length calibrates
+    zero = tmp_path / "zero.ini"
+    for key, argv in (("cr_mu", ("sweep", "cr-rabi")),
+                      ("cr_epsilon", ("sweep", "cr-rabi")),
+                      ("cr_mu", ("sweep", "tau2"))):
+        zero.write_text(f"[device]\n{key} = 0\n")
+        code, summary, err = run_cli(capsys, *argv, "--points", "3",
+                                     "--config", str(zero))
+        assert (code, summary) == (1, None)
+        assert f"calibration needs {key} != 0, got 0.0" in err
 
 
 def test_qpt_takes_no_campaign_flags(capsys):

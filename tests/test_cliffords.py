@@ -1,8 +1,9 @@
 """Tests for the signed-permutation Clifford machinery and the group table.
 
-The integer composition rules are cross-checked against the unitary
-path (multiply matrices, then extract the transfer permutation), which
-was itself validated against a plain trace-formula oracle.
+The integer (perm, sign) row arithmetic and the table are cross-checked
+against the unitary path (multiply matrices, then extract the transfer
+permutation with SignedPauliPerm.from_unitary), which was itself
+validated against a plain trace-formula oracle.
 """
 
 import copy
@@ -19,19 +20,23 @@ from rbsim.cliffords import (
     Layer,
     SignedPauliPerm,
     c1_elements,
-    circuit_perm,
     clifford_table,
+    compose_rows,
     gate_perm,
     gate_unitary,
     group_stats,
     layer_rows,
-    s1_elements,
+    rows_ptm,
     single_qubit_layer,
     twirl_ptm,
-    word_perm,
     zx_perm,
     ZX_UNITARY,
+    _AXIS_CYCLES,
+    _element,
+    _inverse,
     _keys,
+    _pair_rows,
+    _stack,
 )
 
 
@@ -47,29 +52,47 @@ def _word_unitary(word):
     return u
 
 
+def _circuit_perm(circuit):
+    """Exact channel of a circuit by the unitary path (layers and pulse
+    slots in time order)."""
+    u = np.eye(4, dtype=complex)
+    for layer in circuit:
+        if layer.kind == "zx":
+            u = ZX_UNITARY @ u
+        for g1, g2 in layer.pulses:
+            u = np.kron(gate_unitary(g1), gate_unitary(g2)) @ u
+    return SignedPauliPerm.from_unitary(u)
+
+
+def _word_perm(word):
+    """Exact channel of a pulse word by the unitary path."""
+    return SignedPauliPerm.from_unitary(_word_unitary(word))
+
+
 def test_compose_matches_unitary_product():
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        w1 = _random_word(rng, 4)
-        w2 = _random_word(rng, 4)
-        via_perm = word_perm(w2).compose(word_perm(w1))
-        via_unitary = SignedPauliPerm.from_unitary(
-            _word_unitary(w2) @ _word_unitary(w1)
-        )
-        assert via_perm == via_unitary
+    words = [(_random_word(rng, 4), _random_word(rng, 4)) for _ in range(20)]
+    first = _stack([_word_perm(w1) for w1, _ in words])
+    second = _stack([_word_perm(w2) for _, w2 in words])
+    perm, sign = compose_rows(*second, *first)
+    for (w1, w2), p, s in zip(words, perm, sign):
+        assert _element(p, s) == SignedPauliPerm.from_unitary(
+            _word_unitary(w2) @ _word_unitary(w1))
 
 
 def test_inverse():
     rng = np.random.default_rng(2)
-    ident = SignedPauliPerm.identity(1)
-    for _ in range(20):
-        w = _random_word(rng, 5)
-        x = word_perm(w)
-        assert x.compose(x.inverse()) == ident
-        assert x.inverse().compose(x) == ident
-        assert x.inverse() == SignedPauliPerm.from_unitary(
-            _word_unitary(w).conj().T
-        )
+    words = [_random_word(rng, 5) for _ in range(20)]
+    rows = _stack([_word_perm(w) for w in words])
+    inverse = _inverse(*rows)
+    for perm, sign in (compose_rows(*rows, *inverse),
+                       compose_rows(*inverse, *rows)):
+        np.testing.assert_array_equal(perm, np.broadcast_to(np.arange(4),
+                                                            perm.shape))
+        np.testing.assert_array_equal(sign, 1)
+    for w, p, s in zip(words, *inverse):
+        assert _element(p, s) == SignedPauliPerm.from_unitary(
+            _word_unitary(w).conj().T)
 
 
 def test_tensor_matches_kron():
@@ -77,11 +100,13 @@ def test_tensor_matches_kron():
     for _ in range(10):
         w1 = _random_word(rng, 3)
         w2 = _random_word(rng, 3)
-        got = word_perm(w1).tensor(word_perm(w2))
-        expect = SignedPauliPerm.from_unitary(
-            np.kron(_word_unitary(w1), _word_unitary(w2))
-        )
-        assert got == expect
+        perm, sign = _pair_rows(*_stack([_word_perm(w1), _word_perm(w2)]))
+        # row 2*i + j pairs element i on qubit 1 with element j on qubit 2
+        for i, wa in enumerate((w1, w2)):
+            for j, wb in enumerate((w1, w2)):
+                assert _element(perm[2 * i + j], sign[2 * i + j]) == (
+                    SignedPauliPerm.from_unitary(
+                        np.kron(_word_unitary(wa), _word_unitary(wb))))
 
 
 def test_to_ptm_is_transfer_matrix():
@@ -89,6 +114,11 @@ def test_to_ptm_is_transfer_matrix():
     np.testing.assert_allclose(
         x.to_ptm(), pauli.unitary_to_ptm(gate_unitary("X90")), atol=1e-12
     )
+    # rows_ptm makes one matrix per row, over any leading axes
+    stack = rows_ptm(*_stack([x, gate_perm("Y180"), gate_perm("I")]))
+    assert stack.shape == (3, 4, 4)
+    np.testing.assert_array_equal(stack[0], x.to_ptm())
+    np.testing.assert_array_equal(stack[2], np.eye(4))
     table = clifford_table()
     for k in (0, 1, 577, 6000, 11519):
         np.testing.assert_array_equal(table.ptm(k), table.elements[k].to_ptm())
@@ -115,7 +145,10 @@ def test_validation_rejects_malformed():
 
 
 def test_x90_twice_is_x180():
-    assert word_perm(("X90", "X90")) == gate_perm("X180")
+    x90 = _stack([gate_perm("X90")])
+    perm, sign = compose_rows(*x90, *x90)
+    assert _element(perm[0], sign[0]) == gate_perm("X180")
+    assert gate_perm("X180") == _word_perm(("X90", "X90"))
 
 
 def test_one_qubit_group():
@@ -125,19 +158,29 @@ def test_one_qubit_group():
     assert words[0] == ()
     assert elems[0] == SignedPauliPerm.identity(1)
     assert max(len(w) for w in words) == 3
+    # the view's arrays are the read-only rows of its elements
+    perm, sign = elems.arrays
+    assert perm.shape == sign.shape == (24, 4)
+    assert not perm.flags.writeable and not sign.flags.writeable
     # every element's word reproduces it exactly
-    for e, w in zip(elems, words):
-        assert word_perm(w) == e
+    for k, (e, w) in enumerate(zip(elems, words)):
+        assert e == _element(perm[k], sign[k])
+        assert _word_perm(w) == e
 
 
 def test_s1_cycles_axes():
-    ident, s, s2 = s1_elements()
-    assert s.compose(s).compose(s) == ident
-    assert s.compose(s) == s2
-    # S is conjugation by the rotation of 120 degrees about (1,1,1)
+    """_AXIS_CYCLES holds I, S and S^2 for S: X -> Y -> Z -> X, the
+    rotation of 120 degrees about (1,1,1)."""
     gen = (pauli.SIGMA_X + pauli.SIGMA_Y + pauli.SIGMA_Z) / np.sqrt(3)
     u = pauli.matexp_hermitian_generator(gen, np.pi / 3)
-    assert SignedPauliPerm.from_unitary(u) == s
+    powers = [np.eye(2), u, u @ u]
+    assert [_element(p, np.ones(4, dtype=np.int8)) for p in _AXIS_CYCLES] == [
+        SignedPauliPerm.from_unitary(v) for v in powers]
+    # S^3 is the identity
+    s = (_AXIS_CYCLES[1], np.ones(4, dtype=np.int8))
+    perm, sign = compose_rows(*s, *compose_rows(*s, *s))
+    np.testing.assert_array_equal(perm, np.arange(4))
+    np.testing.assert_array_equal(sign, 1)
 
 
 def test_zx_primitive_is_clifford():
@@ -151,12 +194,10 @@ def test_zx_primitive_is_clifford():
 
 
 def test_cnot_equals_corrected_zx():
-    z90 = SignedPauliPerm.from_unitary(
-        pauli.matexp_hermitian_generator(pauli.SIGMA_Z, np.pi / 4)
-    )
-    x90 = gate_perm("X90")
-    got = z90.tensor(x90).compose(zx_perm())
-    assert got == SignedPauliPerm.from_unitary(CNOT)
+    z90 = pauli.matexp_hermitian_generator(pauli.SIGMA_Z, np.pi / 4)
+    post = SignedPauliPerm.from_unitary(np.kron(z90, gate_unitary("X90")))
+    perm, sign = compose_rows(*_stack([post]), *_stack([zx_perm()]))
+    assert _element(perm[0], sign[0]) == SignedPauliPerm.from_unitary(CNOT)
 
 
 def test_group_census():
@@ -235,7 +276,9 @@ def test_group_closure_sample():
     pairs = rng.integers(0, len(table), size=(1000, 2))
     for i, j in pairs:
         k = table.compose_indices(int(i), int(j))
-        assert table.elements[k] == table.elements[i].compose(table.elements[j])
+        # signed permutation matrices multiply exactly in floating point
+        np.testing.assert_array_equal(table.ptm(k),
+                                      table.ptm(i) @ table.ptm(j))
     # the array form composes all pairs at once, to the same indices
     np.testing.assert_array_equal(
         table.compose_indices(pairs[:, 0], pairs[:, 1]),
@@ -245,21 +288,21 @@ def test_group_closure_sample():
 
 def test_inverse_indices():
     table = clifford_table()
-    ident = SignedPauliPerm.identity(2)
     rng = np.random.default_rng(13)
     for i in rng.integers(0, len(table), size=200):
-        inv = table.elements[table.inverse_indices[i]]
-        assert table.elements[i].compose(inv) == ident
+        inv = table.ptm(table.inverse_indices[i])
+        np.testing.assert_array_equal(table.ptm(i) @ inv, np.eye(16))
 
 
 def test_pair_subgroup_layout():
     """Indices 24*i + j hold c1[i] (x) c1[j] and the subgroup is closed
     under inversion: simultaneous RB samples and inverts inside it."""
     table = clifford_table()
-    c1, _ = c1_elements()
-    for i in range(24):
-        for j in range(24):
-            assert table.elements[24 * i + j] == c1[i].tensor(c1[j])
+    _, words = c1_elements()
+    for i, wa in enumerate(words):
+        for j, wb in enumerate(words):
+            assert table.elements[24 * i + j] == SignedPauliPerm.from_unitary(
+                np.kron(_word_unitary(wa), _word_unitary(wb)))
     assert np.all(table.inverse_indices[:576] < 576)
 
 
@@ -267,7 +310,7 @@ def test_circuits_reproduce_elements_sample():
     table = clifford_table()
     rng = np.random.default_rng(17)
     for i in rng.integers(0, len(table), size=300):
-        assert circuit_perm(table.circuits[i]) == table.elements[i]
+        assert _circuit_perm(table.circuits[i]) == table.elements[i]
 
 
 def test_layer_ids_decode_to_circuits():
@@ -291,7 +334,7 @@ def test_layer_ids_decode_to_circuits():
             if i or j:
                 layer = table.layers[24 * i + j]
                 assert layer == single_qubit_layer(wa, wb)
-                assert layer.perm() == table.elements[24 * i + j]
+                assert _circuit_perm((layer,)) == table.elements[24 * i + j]
 
 
 def test_circuits_view_decodes_rows_on_access():
@@ -319,14 +362,13 @@ def test_circuits_view_decodes_rows_on_access():
 
 def test_layer_rows_equal_layer_perm():
     """The array actions of every layer id, pulse by pulse from the
-    gate rows, are the Layer.perm() object folds."""
+    gate rows, are the transfer permutations of the layers' unitaries."""
     table = clifford_table()
     perm, sign = layer_rows(table.layers)
     assert perm.shape == sign.shape == (len(table.layers), 16)
     for i, layer in enumerate(table.layers):
-        expected = SignedPauliPerm.identity(2) if layer is None else layer.perm()
-        assert SignedPauliPerm(tuple(perm[i].tolist()),
-                               tuple(sign[i].tolist())) == expected
+        circuit = () if layer is None else (layer,)
+        assert _element(perm[i], sign[i]) == _circuit_perm(circuit)
 
 
 def _head_split(layer_ids):
@@ -368,7 +410,7 @@ def test_entangler_count_matches_class():
 def test_decompose_roundtrip():
     table = clifford_table()
     circuit = table.decompose(CNOT)
-    assert circuit_perm(circuit) == SignedPauliPerm.from_unitary(CNOT)
+    assert _circuit_perm(circuit) == SignedPauliPerm.from_unitary(CNOT)
     assert sum(1 for layer in circuit if layer.kind == "zx") == 1
 
 

@@ -136,6 +136,9 @@ def test_rejects_bad_profiles(tmp_path, text):
     ("[device]\nt2_1_us = 100.0\n", "[device] t2_1_us = 100.0 exceeds 2*T1"),
     ("[rb]\nunknown_key = 1\n", "[rb] unknown_key: unknown key"),
     ("[nonsense]\n", "unknown section [nonsense]"),
+    ("[DEFAULT]\nseed = 5\n", "unknown section [DEFAULT]"),
+    ("[DEFAULT]\nseed = 5\n[rb]\nsequences = 3\n",
+     "unknown section [DEFAULT]"),
     ("[sweep]\nrabi_start = -1\n", "rabi_start must be non-negative, got -1.0"),
 ])
 def test_rejections_name_the_field(tmp_path, text, message):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from rbsim import device, pauli, rb
-from rbsim.cliffords import (ZX_LAYER_ID, Layer, clifford_table, gate_unitary,
-                             zx_perm)
+from rbsim.cliffords import (ZX_LAYER_ID, ZX_UNITARY, Layer, clifford_table,
+                             gate_unitary, zx_perm)
 from rbsim.device import DeviceParams, SpamModel
 
 NOISELESS = DeviceParams(
@@ -279,15 +279,24 @@ def test_decoherence_ptm_rejects_unphysical_input():
         device.decoherence_ptm(11.6, 7.1, 9.1, 5.6, -1.0)
 
 
+def _ideal_unitary(layer):
+    """Unitary of a layer: its pulse pairs in time order, or the ideal
+    entangling primitive."""
+    if layer.kind == "zx":
+        return ZX_UNITARY
+    u = np.eye(4, dtype=complex)
+    for g1, g2 in layer.pulses:
+        u = np.kron(gate_unitary(g1), gate_unitary(g2)) @ u
+    return u
+
+
 def _kraus_unitary_gate_channel(layer, p):
     """Layer channel built the long way: the Kraus-operator decoherence
     PTM times the PTM of the layer's unitary."""
     if layer.kind == "zx":
         u = device.zx_layer_unitary(p)
     else:
-        u = np.eye(4, dtype=complex)
-        for g1, g2 in layer.pulses:
-            u = np.kron(gate_unitary(g1), gate_unitary(g2)) @ u
+        u = _ideal_unitary(layer)
     decay = device.device_decoherence_channel(
         p, device.layer_duration_ns(layer, p)).ptm()
     return decay @ pauli.unitary_to_ptm(u)
@@ -340,7 +349,8 @@ def test_gate_channel_noiseless_equals_exact_perm():
     ]
     for layer in layers:
         got = device.gate_channel(layer, NOISELESS)
-        np.testing.assert_allclose(got, layer.perm().to_ptm(), atol=1e-12)
+        np.testing.assert_allclose(
+            got, pauli.unitary_to_ptm(_ideal_unitary(layer)), atol=1e-12)
 
 
 def test_gate_channel_identity_layer_is_pure_decoherence():

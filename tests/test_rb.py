@@ -14,7 +14,6 @@ import pytest
 from rbsim import device as dev
 from rbsim import fit, pauli, rb
 from rbsim.cliffords import (
-    SignedPauliPerm,
     ZX_LAYER_ID,
     ZX_UNITARY,
     clifford_table,
@@ -52,12 +51,13 @@ def test_config_validation():
 def _closes(table, draw, inversion, gate=None):
     """Whether ``inversion`` undoes ``draw`` (each step followed by
     ``gate``, if any)."""
-    acc = SignedPauliPerm.identity(2)
+    # signed permutation matrices multiply exactly in floating point
+    acc = np.eye(16)
     for k in draw:
-        acc = table.elements[k].compose(acc)
+        acc = table.ptm(k) @ acc
         if gate is not None:
-            acc = table.elements[gate].compose(acc)
-    return table.elements[inversion].compose(acc) == SignedPauliPerm.identity(2)
+            acc = table.ptm(gate) @ acc
+    return np.array_equal(table.ptm(inversion) @ acc, np.eye(16))
 
 
 def test_truncations_share_prefix(table):

@@ -12,7 +12,8 @@ import pytest
 
 from rbsim import device as dev
 from rbsim import pauli, rb, tomography as tomo
-from rbsim.cliffords import clifford_table, gate_perm, zx_perm
+from rbsim.cliffords import (SignedPauliPerm, clifford_table, gate_unitary,
+                             zx_perm)
 
 SPAM_MODELS = {
     "ideal": None,
@@ -55,7 +56,8 @@ def _same_bits(a, b):
 
 def _pair_ptms_by_loop():
     """Reference: one rotation pair's transfer matrix at a time."""
-    return [gate_perm(g1).tensor(gate_perm(g2)).to_ptm()
+    return [SignedPauliPerm.from_unitary(
+                np.kron(gate_unitary(g1), gate_unitary(g2))).to_ptm()
             for g1, g2 in itertools.product(tomo.ROTATION_NAMES, repeat=2)]
 
 
