@@ -569,7 +569,7 @@ def fold_layer_ids(layer_ids, layer_perm, layer_sign
     The fold takes one gather per layer position.
     """
     layer_ids = np.asarray(layer_ids)
-    perm = np.broadcast_to(np.arange(16), (len(layer_ids), 16))
+    perm = np.tile(np.arange(16), (len(layer_ids), 1))
     sign = np.ones((len(layer_ids), 16), dtype=np.int8)
     for column in layer_ids.T:
         perm, sign = compose_rows(layer_perm[column], layer_sign[column],
@@ -584,7 +584,8 @@ def layer_rows(layers: Sequence[Layer | None]
     of the pulse alphabet, all layers at once."""
     gates = {name: i for i, name in enumerate(GATE_NAMES)}
     pulse_perm, pulse_sign = pulse_pair_rows(GATE_NAMES)
-    slots = max(layer.n_slots for layer in layers if layer is not None)
+    slots = max((layer.n_slots for layer in layers if layer is not None),
+               default=0)
     # gate pair of each slot, padded with (I, I), pair 0
     pairs = np.zeros((len(layers), slots), dtype=np.intp)
     for k, layer in enumerate(layers):

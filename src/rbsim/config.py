@@ -189,53 +189,70 @@ def load_profile(path: str | None = None) -> RunProfile:
     return profile
 
 
+# RunProfile field -> the "[section] key" that sets it in an INI file
+_KEY_OF = {name: f"[{section}] {key}"
+           for (section, key), (name, _) in FIELDS.items()
+           if section not in ("device", "spam")}
+# RBConfig field checked for each profile field that feeds it
+_RB_FIELDS = {"lengths": "lengths", "sequences": "n_sequences",
+              "shots": "shots"}
+
+
+def _invalid(name: str, message: str) -> ConfigError:
+    """Range error of profile field ``name``, led by its INI key."""
+    return ConfigError(f"{_KEY_OF[name]}: {message}")
+
+
 def validate(profile: RunProfile) -> None:
-    """Raise ConfigError naming the first field with an invalid value."""
+    """Raise ConfigError naming the first field with an invalid value,
+    with the ``[section] key`` that sets it."""
     for name in ("rabi_start", "rabi_stop", "tau2_start", "tau2_stop"):
         value = getattr(profile, name)
         if not np.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+            raise _invalid(name, f"{name} must be finite, got {value}")
     if profile.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {profile.seed}")
+        raise _invalid("seed",
+                       f"seed must be non-negative, got {profile.seed}")
     if profile.noise_model not in NOISE_MODELS:
-        raise ConfigError(
-            f"noise_model must be one of {NOISE_MODELS}, "
-            f"got {profile.noise_model!r}"
-        )
+        raise _invalid("noise_model",
+                       f"noise_model must be one of {NOISE_MODELS}, "
+                       f"got {profile.noise_model!r}")
     if profile.interleaved_gate not in GATE_NAMES:
-        raise ConfigError(
-            f"interleaved_gate must be one of {GATE_NAMES}, "
-            f"got {profile.interleaved_gate!r}"
-        )
+        raise _invalid("interleaved_gate",
+                       f"interleaved_gate must be one of {GATE_NAMES}, "
+                       f"got {profile.interleaved_gate!r}")
     if profile.qpt_target not in QPT_TARGETS:
-        raise ConfigError(f"qpt_target must be one of {QPT_TARGETS}, "
-                          f"got {profile.qpt_target!r}")
+        raise _invalid("qpt_target",
+                       f"qpt_target must be one of {QPT_TARGETS}, "
+                       f"got {profile.qpt_target!r}")
     for name in ("clifford_depol", "gate_depol"):
         value = getattr(profile, name)
         if not 0.0 < value <= 1.0:
-            raise ConfigError(f"{name} must lie in (0, 1], got {value}")
+            raise _invalid(name, f"{name} must lie in (0, 1], got {value}")
     if profile.qpt_shots is not None and profile.qpt_shots < 1:
-        raise ConfigError("qpt_shots must be positive (or exact), "
-                          f"got {profile.qpt_shots}")
+        raise _invalid("qpt_shots", "qpt_shots must be positive (or exact), "
+                       f"got {profile.qpt_shots}")
     for prefix in ("rabi", "tau2"):
         start = getattr(profile, f"{prefix}_start")
         stop = getattr(profile, f"{prefix}_stop")
         points = getattr(profile, f"{prefix}_points")
         if points < 2:
-            raise ConfigError(f"{prefix}_points must be at least 2, "
-                              f"got {points}")
+            raise _invalid(f"{prefix}_points", f"{prefix}_points must be at "
+                           f"least 2, got {points}")
         # a drive or segment length cannot be negative
         if start < 0:
-            raise ConfigError(f"{prefix}_start must be non-negative, "
-                              f"got {start}")
+            raise _invalid(f"{prefix}_start", f"{prefix}_start must be "
+                           f"non-negative, got {start}")
         if not stop > start:
-            raise ConfigError(f"{prefix}_stop must exceed {prefix}_start, "
-                              f"got {stop} <= {start}")
-    try:
-        profile.rb_config()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            raise _invalid(f"{prefix}_stop", f"{prefix}_stop must exceed "
+                           f"{prefix}_start, got {stop} <= {start}")
+    # each campaign field alone, with RBConfig's own checks
+    for name, rb_name in _RB_FIELDS.items():
+        try:
+            rb.RBConfig(**{rb_name: getattr(profile, name)})
+        except ValueError as exc:
+            raise _invalid(name, str(exc)) from exc
     if len(profile.lengths) < fit.MIN_POINTS:
-        raise ConfigError(
-            f"lengths must hold at least {fit.MIN_POINTS} values to fit "
-            f"the decay, got {len(profile.lengths)}")
+        raise _invalid("lengths",
+                       f"lengths must hold at least {fit.MIN_POINTS} values "
+                       f"to fit the decay, got {len(profile.lengths)}")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -265,6 +266,22 @@ def _family_rng(seed: int, family: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, family, stream)))
 
 
+@functools.lru_cache(maxsize=1024)
+def _shot_stream(seed: int, family: int):
+    """Shot-noise generator of (seed, family), stream 1, and its initial
+    bit-generator state: seeded once per process, not per readout."""
+    rng = _family_rng(seed, family, stream=1)
+    return rng, rng.bit_generator.state
+
+
+def _shot_rng(seed: int, family: int) -> np.random.Generator:
+    """Shot-noise generator of a family at the start of its stream, as
+    freshly seeded: every readout of the family draws the same bits."""
+    rng, start = _shot_stream(seed, family)
+    rng.bit_generator.state = start
+    return rng
+
+
 def _inversions(
     table: CliffordTable,
     lengths,
@@ -385,14 +402,16 @@ def _read_out(cfg, closed, spam, readout=(_P00,)) -> np.ndarray:
     (lengths, rows, sequences): the outcome probabilities (p00, p01,
     p10, p11) through ``spam``'s confusion matrix, then each row of
     ``readout``.  With shots, each entry is one binomial draw, family by
-    family, truncation by truncation and row by row."""
+    family, truncation by truncation and row by row, each family's draws
+    from the start of its shot stream (:func:`_shot_rng`)."""
     probs = dev.apply_spam(pauli.outcome_probabilities(closed), spam)
     out = probs[..., 0] @ np.array(readout).T
     if cfg.shots is not None:
+        p = np.clip(out, 0.0, 1.0)
+        counts = np.empty(out.shape, dtype=np.int64)
         for fam in range(len(out)):
-            rng = _family_rng(cfg.seed, fam, stream=1)
-            out[fam] = rng.binomial(cfg.shots,
-                                    np.clip(out[fam], 0.0, 1.0)) / cfg.shots
+            counts[fam] = _shot_rng(cfg.seed, fam).binomial(cfg.shots, p[fam])
+        out = counts / cfg.shots
     return np.ascontiguousarray(out.transpose(1, 2, 0))
 
 
@@ -489,22 +508,23 @@ def run_simultaneous(
     element 24*i + j; the idle qubit's draw is zeroed (the identity)
     in the one-qubit variants.  Each family's words are drawn once and
     masked per variant, so the q1/q2 runs see the same random words as
-    the joint run's corresponding qubit.  The table is the noise
-    model's.
+    the joint run's corresponding qubit.  The variants' families are
+    stacked and propagated as one batch, then each variant's block is
+    read out through its own rows.  The table is the noise model's.
     """
     spam = spam or dev.SpamModel.ideal()
     words = np.stack([
         _family_rng(cfg.seed, fam).integers(0, 24, size=(cfg.lengths[-1], 2))
         for fam in range(cfg.n_sequences)
     ])
-    readouts: dict[str, np.ndarray] = {}
-    for variant, (mask, readout) in _VARIANTS.items():
-        draws = words * mask
-        bases = 24 * draws[..., 0] + draws[..., 1]
-        closed = _propagate(cfg.lengths, bases,
-                            _inversions(noise.table, cfg.lengths, bases),
-                            noise, spam.initial_state())
-        readouts[variant] = _read_out(cfg, closed, spam, readout)
+    bases = np.concatenate([24 * words[..., 0] * m1 + words[..., 1] * m2
+                            for (m1, m2), _ in _VARIANTS.values()])
+    closed = _propagate(cfg.lengths, bases,
+                        _inversions(noise.table, cfg.lengths, bases),
+                        noise, spam.initial_state())
+    readouts = {variant: _read_out(cfg, block, spam, readout)
+                for (variant, (_, readout)), block
+                in zip(_VARIANTS.items(), np.split(closed, len(_VARIANTS)))}
 
     def dataset(tag, block):
         return DecayDataset(tag, cfg.seed, tuple(cfg.lengths), block, cfg.shots)
@@ -627,19 +647,29 @@ def sweep_point(
 CSV_HEADER = ("protocol", "seed", "length", "seq_index", "p00", "shots")
 
 
+def _csv_fields(*fields) -> str:
+    """Two or more fields joined as csv.writer joins them, quoting
+    included, without the line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
 def write_decay_csv(path, datasets) -> None:
-    """Long-format decay table; exact-mode rows carry shots='exact'."""
+    """Long-format decay table; exact-mode rows carry shots='exact'.
+    The bytes are csv.writer's, each survival as its float repr; the
+    rows are formatted from Python floats and written at once."""
+    lines = [_csv_fields(*CSV_HEADER)]
+    for ds in datasets:
+        head = _csv_fields(ds.protocol, ds.seed)
+        shots = "exact" if ds.shots is None else ds.shots
+        rows = np.asarray(ds.survivals, dtype=float).tolist()
+        for length, row in zip(ds.lengths, rows):
+            lines += [f"{head},{length},{col},{value!r},{shots}"
+                      for col, value in enumerate(row)]
+    lines.append("")
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        for ds in datasets:
-            shots = "exact" if ds.shots is None else ds.shots
-            for row, length in enumerate(ds.lengths):
-                for col in range(ds.survivals.shape[1]):
-                    writer.writerow(
-                        (ds.protocol, ds.seed, length, col,
-                         repr(float(ds.survivals[row, col])), shots)
-                    )
+        handle.write(csv.excel.lineterminator.join(lines))
 
 
 def read_decay_csv(path) -> dict[str, DecayDataset]:

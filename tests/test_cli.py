@@ -66,6 +66,29 @@ QPT_REFERENCE_FILES = {
 }
 
 
+# files of `rb <protocol> --seed 1234 --out DIR`: exit code, {name: sha256}
+RB_REFERENCE_FILES = {
+    "standard": (0, {
+        "rb_standard.csv":
+            "c9858985ccc9d5508f855e1da72425557b4664dc32f68c323b0c6ec4f325f52e",
+        "rb_standard.json":
+            "ebe79b2b0c31c70f376bd4d8518a87f2d4e8b2cdd5b2486ce20b2a4f64a46377",
+    }),
+    "interleaved": (0, {
+        "rb_interleaved.csv":
+            "b517f9146918c925e3545bb0c3aa442e8dcb00b6bdded0dc83e97dbd8bf51db8",
+        "rb_interleaved.json":
+            "5988bad48d95f690ceceb39e7abc5fccd7b425ace50749098136a3f27625c27b",
+    }),
+    "simultaneous": (2, {
+        "rb_simultaneous.csv":
+            "f821122e5ccbf7c36d8b07a179bf421eb289996753ac1c8c7c0238e6b4345534",
+        "rb_simultaneous.json":
+            "aa4204ac014b5b2dc30658adf6e5822ff87c561d0bdd32fa792308dd6ebf6521",
+    }),
+}
+
+
 @pytest.mark.parametrize("command", REFERENCE_OUTPUTS)
 def test_default_device_outputs_match_reference_hashes(capsys, command):
     """Any change to a printed number, however small, shows here."""
@@ -83,6 +106,19 @@ def test_qpt_files_match_reference_hashes(capsys, tmp_path):
     assert code == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in QPT_REFERENCE_FILES} == QPT_REFERENCE_FILES
+
+
+@pytest.mark.parametrize("protocol", RB_REFERENCE_FILES)
+def test_rb_files_match_reference_hashes(capsys, tmp_path, protocol):
+    """Every decay CSV byte (each survival's repr, the row order and the
+    line terminator) and the JSON summary written beside it."""
+    code = cli.main(["rb", protocol, "--seed", "1234", "--out", str(tmp_path)])
+    capsys.readouterr()
+    expected_code, files = RB_REFERENCE_FILES[protocol]
+    assert code == expected_code
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in files} == files
 
 
 def test_group_stats(capsys):

@@ -22,6 +22,7 @@ from rbsim.cliffords import (
     c1_elements,
     clifford_table,
     compose_rows,
+    fold_layer_ids,
     gate_perm,
     gate_unitary,
     group_stats,
@@ -369,6 +370,23 @@ def test_layer_rows_equal_layer_perm():
     for i, layer in enumerate(table.layers):
         circuit = () if layer is None else (layer,)
         assert _element(perm[i], sign[i]) == _circuit_perm(circuit)
+
+
+@pytest.mark.parametrize("layers", [
+    (Layer("zx"),), (None,), (None, Layer("zx")), (Layer("zx"), None), ()])
+def test_layer_rows_without_pulse_layers(layers):
+    """Lists with no pulse layer fold over zero slots: the ZX row and
+    identity rows, as writable arrays."""
+    perm, sign = layer_rows(layers)
+    assert perm.shape == sign.shape == (len(layers), 16)
+    for k, layer in enumerate(layers):
+        assert _element(perm[k], sign[k]) == _circuit_perm(
+            () if layer is None else (layer,))
+    ids = np.zeros((3, 0), dtype=np.intp)
+    folded_perm, folded_sign = fold_layer_ids(ids, perm, sign)
+    assert folded_perm.flags.writeable and folded_sign.flags.writeable
+    np.testing.assert_array_equal(folded_perm, np.tile(np.arange(16), (3, 1)))
+    np.testing.assert_array_equal(folded_sign, 1)
 
 
 def _head_split(layer_ids):

@@ -140,6 +140,18 @@ def test_rejects_bad_profiles(tmp_path, text):
     ("[DEFAULT]\nseed = 5\n[rb]\nsequences = 3\n",
      "unknown section [DEFAULT]"),
     ("[sweep]\nrabi_start = -1\n", "rabi_start must be non-negative, got -1.0"),
+    # range errors lead with the key the user wrote, then the field
+    ("[qpt]\ntarget = hadamard\n",
+     "[qpt] target: qpt_target must be one of ('zx', 'cnot', 'iswap', "
+     "'swap', 'identity'), got 'hadamard'"),
+    ("[qpt]\nshots = 0\n",
+     "[qpt] shots: qpt_shots must be positive (or exact), got 0"),
+    ("[rb]\nsequences = 0\n",
+     "[rb] sequences: n_sequences must be at least 1, got 0"),
+    ("[rb]\nshots = 0\n", "[rb] shots: shots must be positive"),
+    ("[run]\nseed = -1\n", "[run] seed: seed must be non-negative"),
+    ("[sweep]\ntau2_points = 1\n",
+     "[sweep] tau2_points: tau2_points must be at least 2, got 1"),
 ])
 def test_rejections_name_the_field(tmp_path, text, message):
     with pytest.raises(cfg.ConfigError, match=re.escape(message)):

@@ -5,7 +5,10 @@ survival curve is known exactly: 0.25 + 0.75 * p**i after i Cliffords
 when the inversion is ideal, with one extra factor of p when it is not.
 """
 
+import csv
+import dataclasses
 import hashlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -230,6 +233,66 @@ def test_shot_sampling_statistics(table):
     # binomial sigma of the mean over 30 sequences of 400 shots
     sigma = np.sqrt(exact * (1 - exact) / (400 * 30))
     assert np.all(np.abs(ds.means() - exact) < 5 * sigma + 1e-12)
+
+
+_ROWS = (rb._OBS_Q1, rb._OBS_Q2, rb._OBS_PARITY)
+
+
+def _closed_states(table, cfg):
+    noise = rb.InjectedNoiseModel(table, rb.depolarizing_ptm(0.95))
+    draws, inversions = rb.sample_sequences(cfg, table).arrays
+    return rb._propagate(cfg.lengths, draws, inversions, noise,
+                         dev.SpamModel.ideal().initial_state())
+
+
+def _fresh_stream_readout(cfg, closed, rows):
+    """Shot readout with each family's stream freshly seeded, the
+    reference for the streams kept across readouts."""
+    spam = dev.SpamModel.ideal()
+    exact = rb._read_out(dataclasses.replace(cfg, shots=None), closed, spam,
+                         rows)
+    out = np.empty_like(exact)
+    for fam in range(exact.shape[2]):
+        rng = rb._family_rng(cfg.seed, fam, stream=1)
+        out[:, :, fam] = rng.binomial(
+            cfg.shots, np.clip(exact[:, :, fam], 0.0, 1.0)) / cfg.shots
+    return out
+
+
+def test_shot_readouts_draw_as_freshly_seeded_streams(table):
+    """A family's shot stream is seeded once per process, and every
+    readout restarts it: repeated readouts, with a readout at another
+    seed in between, draw the bits of a freshly seeded generator."""
+    cfg = _small_cfg(shots=100, seed=71)
+    other = dataclasses.replace(cfg, seed=72)
+    closed = _closed_states(table, cfg)
+    spam = dev.SpamModel.ideal()
+    expected = _fresh_stream_readout(cfg, closed, _ROWS)
+    first = rb._read_out(cfg, closed, spam, _ROWS)
+    between = rb._read_out(other, closed, spam, _ROWS)
+    again = rb._read_out(cfg, closed, spam, _ROWS)
+    assert first.tobytes() == expected.tobytes() == again.tobytes()
+    assert between.tobytes() == _fresh_stream_readout(
+        other, closed, _ROWS).tobytes()
+    assert between.tobytes() != first.tobytes()
+    # fewer rows draw a prefix of each family's stream, from its start
+    single = rb._read_out(cfg, closed, spam, (rb._P00,))
+    assert single.tobytes() == _fresh_stream_readout(
+        cfg, closed, (rb._P00,)).tobytes()
+
+
+def test_shot_stream_cache_is_bounded(table):
+    """Readouts at many seeds keep at most maxsize streams, and a stream
+    evicted and seeded again still draws from its start."""
+    limit = rb._shot_stream.cache_info().maxsize
+    cfg = _small_cfg(shots=50, seed=0)
+    closed = _closed_states(table, cfg)
+    spam = dev.SpamModel.ideal()
+    first = rb._read_out(cfg, closed, spam)
+    for seed in range(1, limit // cfg.n_sequences + 2):
+        rb._read_out(dataclasses.replace(cfg, seed=seed), closed, spam)
+    assert rb._shot_stream.cache_info().currsize == limit
+    assert rb._read_out(cfg, closed, spam).tobytes() == first.tobytes()
 
 
 def test_device_noise_model_matches_layerwise_product(table):
@@ -542,8 +605,43 @@ def test_simultaneous_draws_each_family_once(table, monkeypatch):
         rb, "_family_rng", lambda seed, fam, stream=0:
         streams.append(stream) or family_rng(seed, fam, stream))
     cfg = _small_cfg(shots=100)
+    rb._shot_stream.cache_clear()
     rb.run_simultaneous(cfg, rb.InjectedNoiseModel(table))
     assert streams.count(0) == cfg.n_sequences
+    # each family's shot stream is seeded once for all three readouts
+    assert streams.count(1) <= cfg.n_sequences
+    rb.run_simultaneous(cfg, rb.InjectedNoiseModel(table))
+    assert streams.count(1) <= cfg.n_sequences
+
+
+def test_simultaneous_propagates_one_batch(table, monkeypatch):
+    """The three variants' families propagate as one batch whose blocks
+    are, byte for byte, the closed states of three separate chains."""
+    batches = []
+    propagate = rb._propagate
+
+    def recorded(*args):
+        batches.append(propagate(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(rb, "_propagate", recorded)
+    cfg = _small_cfg(n_sequences=40, seed=11)
+    noise = rb.DeviceNoiseModel(dev.DeviceParams(), table)
+    spam = dev.SpamModel.symmetric(thermal=0.01, misassignment=0.02)
+    rb.run_simultaneous(cfg, noise, spam)
+    assert len(batches) == 1
+    words = np.stack([
+        rb._family_rng(cfg.seed, fam).integers(0, 24,
+                                               size=(cfg.lengths[-1], 2))
+        for fam in range(cfg.n_sequences)])
+    blocks = np.split(batches[0], len(rb._VARIANTS))
+    for (mask, _), block in zip(rb._VARIANTS.values(), blocks):
+        draws = words * mask
+        bases = 24 * draws[..., 0] + draws[..., 1]
+        closed = propagate(cfg.lengths, bases,
+                           rb._inversions(table, cfg.lengths, bases),
+                           noise, spam.initial_state())
+        assert block.tobytes() == closed.tobytes()
 
 
 def test_long_campaigns_converge(table):
@@ -583,6 +681,32 @@ def test_csv_round_trip(tmp_path, table):
     before = rb.fit_dataset(standard)
     after = rb.fit_dataset(loaded["standard"])
     assert abs(before.alpha - after.alpha) < 1e-12
+
+
+def test_decay_csv_is_written_as_csv_writer_rows(tmp_path):
+    """The one write holds the bytes csv.writer gives row by row,
+    quoting of an odd protocol name included."""
+    rng = np.random.default_rng(3)
+    datasets = [
+        rb.DecayDataset('odd, "name"', 9, (1, 4), rng.random((2, 3)), None),
+        rb.DecayDataset("standard", 0, (2, 5, 9),
+                        rng.binomial(10, 0.5, (3, 2)) / 10, 10),
+    ]
+    path = tmp_path / "decays.csv"
+    rb.write_decay_csv(path, datasets)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(rb.CSV_HEADER)
+    for ds in datasets:
+        for row, length in enumerate(ds.lengths):
+            for col in range(ds.survivals.shape[1]):
+                writer.writerow((ds.protocol, ds.seed, length, col,
+                                 repr(float(ds.survivals[row, col])),
+                                 "exact" if ds.shots is None else ds.shots))
+    assert path.read_bytes() == expected.getvalue().encode()
+    loaded = rb.read_decay_csv(path)
+    np.testing.assert_array_equal(loaded['odd, "name"'].survivals,
+                                  datasets[0].survivals)
 
 
 def test_decay_csv_reader_rejects_incomplete_files(tmp_path, table):
