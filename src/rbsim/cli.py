@@ -67,20 +67,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _np_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _emit(summary: dict, out_dir: Path | None, name: str) -> None:
-    text = json.dumps(summary, indent=2, sort_keys=True, default=_np_default)
+    text = json.dumps(summary, indent=2, sort_keys=True)
     print(text)
     if out_dir is not None:
         (out_dir / f"{name}.json").write_text(text + "\n")

@@ -171,14 +171,18 @@ def load_profile(path: str | None = None) -> RunProfile:
             else:
                 setattr(profile, name, value)
 
-    spam = models["spam"]
-    thermal = spam.get("thermal", 0.0)
-    e = spam.get("misassignment", 0.0)
-    c1 = np.array([[1.0 - e, e], [e, 1.0 - e]])
     try:
         profile.device = dataclasses.replace(profile.device, **models["device"])
     except ValueError as exc:
         raise ConfigError(f"[device] {exc}") from exc
+    spam = models["spam"]
+    thermal = spam.get("thermal", 0.0)
+    e = spam.get("misassignment", 0.0)
+    # checked here, as the key was written, not through the matrix entries
+    if not 0.0 <= e <= 1.0:
+        raise ConfigError("[spam] misassignment: misassignment must lie in "
+                          f"[0, 1], got {e}")
+    c1 = np.array([[1.0 - e, e], [e, 1.0 - e]])
     try:
         profile.spam = dev.SpamModel(spam.get("thermal_pop_1", thermal),
                                      spam.get("thermal_pop_2", thermal),
@@ -194,8 +198,7 @@ _KEY_OF = {name: f"[{section}] {key}"
            for (section, key), (name, _) in FIELDS.items()
            if section not in ("device", "spam")}
 # RBConfig field checked for each profile field that feeds it
-_RB_FIELDS = {"lengths": "lengths", "sequences": "n_sequences",
-              "shots": "shots"}
+_RB_FIELDS = {"lengths": "lengths", "sequences": "n_sequences"}
 
 
 def _invalid(name: str, message: str) -> ConfigError:
@@ -229,9 +232,11 @@ def validate(profile: RunProfile) -> None:
         value = getattr(profile, name)
         if not 0.0 < value <= 1.0:
             raise _invalid(name, f"{name} must lie in (0, 1], got {value}")
-    if profile.qpt_shots is not None and profile.qpt_shots < 1:
-        raise _invalid("qpt_shots", "qpt_shots must be positive (or exact), "
-                       f"got {profile.qpt_shots}")
+    for name in ("shots", "qpt_shots"):
+        value = getattr(profile, name)
+        if value is not None and value < 1:
+            raise _invalid(name, f"{name} must be positive (or exact), "
+                           f"got {value}")
     for prefix in ("rabi", "tau2"):
         start = getattr(profile, f"{prefix}_start")
         stop = getattr(profile, f"{prefix}_stop")

@@ -37,8 +37,8 @@ _COHERENCE_TIMES = ("t1_1_us", "t2_1_us", "t1_2_us", "t2_2_us")
 class DeviceParams:
     """Fixed-frequency two-transmon parameters.
 
-    ``omega*_ghz`` and ``anharm*_mhz`` are carried for bookkeeping only;
-    the qubits are simulated as two-level systems in the rotating frame.
+    The qubits are simulated as two-level systems in the rotating frame,
+    so no qubit frequency, anharmonicity or pulse shape is a parameter.
     ``cr_m``, ``cr_mu``, ``cr_eta`` are the dimensionless IX / ZX / ZI
     coefficients of the drive Hamiltonian; ``cr_epsilon`` the drive
     amplitude in rad/ns.  The residual_* angles are an optional coherent
@@ -46,16 +46,11 @@ class DeviceParams:
     imperfections a two-level model cannot produce microscopically).
     """
 
-    omega1_ghz: float = 3.2324
-    omega2_ghz: float = 3.2945
-    anharm1_mhz: float = -331.0
-    anharm2_mhz: float = -216.0
     t1_1_us: float = 11.6
     t1_2_us: float = 9.1
     t2_1_us: float = 7.1
     t2_2_us: float = 5.6
     t_single_ns: float = 32.0
-    sigma_ns: float = 8.0
     tau2_ns: float = _DEFAULT_TAU2
     cr_m: float = 1.0
     cr_mu: float = _DEFAULT_MU
@@ -281,7 +276,6 @@ def _qubit_decoherence_ptm(t1_us: float, t2_us: float,
     ])
 
 
-@functools.lru_cache(maxsize=1024)
 def decoherence_ptm(
     t1_1_us: float, t2_1_us: float, t1_2_us: float, t2_2_us: float,
     duration_ns: float,
@@ -290,13 +284,10 @@ def decoherence_ptm(
 
     The channel acts on each qubit independently, so its PTM is the
     Kronecker product of the one-qubit matrices (qubit 1 is the slow
-    index).  Layers take only a few distinct durations, so the result
-    is cached by the five numbers and returned read-only.
+    index).
     """
-    r = np.kron(_qubit_decoherence_ptm(t1_1_us, t2_1_us, duration_ns),
-                _qubit_decoherence_ptm(t1_2_us, t2_2_us, duration_ns))
-    r.setflags(write=False)
-    return r
+    return np.kron(_qubit_decoherence_ptm(t1_1_us, t2_1_us, duration_ns),
+                   _qubit_decoherence_ptm(t1_2_us, t2_2_us, duration_ns))
 
 
 def layer_duration_ns(layer: Layer, p: DeviceParams) -> float:
@@ -310,11 +301,9 @@ def gate_channel(layer: Layer, p: DeviceParams) -> np.ndarray:
     """Noisy transfer matrix of one circuit layer.
 
     The ideal layer is followed by the per-qubit decoherence channel
-    over the layer's wall-clock duration, and the result is the product
-    of two cached parts.  The decoherence part is the closed-form
-    :func:`decoherence_ptm`, shared by every layer of the same duration
-    and T1/T2 values.  For a pulse layer the ideal part is its exact
-    signed permutation, which depends on the layer alone; the
+    over the layer's wall-clock duration, the closed-form
+    :func:`decoherence_ptm`.  For a pulse layer the ideal part is its
+    exact signed permutation, which depends on the layer alone; the
     entangling layer uses the device's actual refocused unitary at the
     current calibration, including the residual_ix/residual_zi
     coherent-error knob.  The returned array is cached and read-only.

@@ -14,7 +14,7 @@ grid (alpha = 1 or alpha -> 0), when MAX_ITERATIONS steps do not reach
 the tolerance, or when the decay is unresolved: a straight line, the
 alpha -> 1 limit, fits the data within 1 sigma of the best decay.
 
-1-sigma parameter uncertainties come from the linearized covariance
+The 1-sigma uncertainty of alpha comes from the linearized covariance
 (inverse Gauss-Newton normal matrix scaled by the residual variance),
 matching the usual Jacobian-based confidence intervals.
 """
@@ -37,11 +37,12 @@ ALPHA_GRID = np.exp(-1.0 / np.logspace(-0.7, 10.0, 128))
 
 @dataclass(frozen=True)
 class FitResult:
+    """Fitted A, B and alpha, alpha's 1-sigma uncertainty, the reduced
+    chi^2 and the search diagnostics (see the module docstring)."""
+
     a: float
     b: float
     alpha: float
-    a_sigma: float
-    b_sigma: float
     alpha_sigma: float
     chi2_red: float
     iterations: int
@@ -88,8 +89,7 @@ def fit_decay(
 
     if np.ptp(means) < 1e-12:
         return FitResult(
-            a=float(means[0] - b0), b=b0, alpha=1.0,
-            a_sigma=0.0, b_sigma=0.0, alpha_sigma=0.0,
+            a=float(means[0] - b0), b=b0, alpha=1.0, alpha_sigma=0.0,
             chi2_red=0.0, iterations=0, converged=True, degenerate=True,
         )
 
@@ -149,11 +149,9 @@ def fit_decay(
     converged = converged and centred @ wc - explained[-1] - cost > chi2_red
     jac = decay_jacobian(lengths, a, alpha) / errors[:, None]
     cov = np.linalg.pinv(jac.T @ jac) * chi2_red
-    sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
         a=float(a), b=float(b), alpha=float(alpha),
-        a_sigma=float(sigmas[0]), b_sigma=float(sigmas[1]),
-        alpha_sigma=float(sigmas[2]),
+        alpha_sigma=float(np.sqrt(np.maximum(cov[2, 2], 0.0))),
         chi2_red=float(chi2_red), iterations=iterations,
         converged=bool(converged),
     )

@@ -107,6 +107,17 @@ def kraus_to_ptm(kraus: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray
     return np.real(np.einsum("iab,jba->ij", paulis, conj)) / d
 
 
+@functools.lru_cache(maxsize=None)
+def _choi_basis() -> np.ndarray:
+    """Read-only (16, 16, 16, 16) stack whose [i, j] entry is the
+    two-qubit matrix P_j^T kron P_i."""
+    paulis = pauli_matrices(2)
+    basis = np.einsum("jab,icd->ijacbd", paulis.transpose(0, 2, 1), paulis)
+    basis = basis.reshape(16, 16, 16, 16)
+    basis.setflags(write=False)
+    return basis
+
+
 def choi_from_ptm(r: np.ndarray) -> np.ndarray:
     """Choi matrix chi = (1/16) * sum_ij R[i,j] * (P_j^T kron P_i).
 
@@ -116,19 +127,13 @@ def choi_from_ptm(r: np.ndarray) -> np.ndarray:
     factor equals I/4.
     """
     r = np.asarray(r, dtype=float)
-    paulis = pauli_matrices(2)
-    basis = np.einsum("jab,icd->ijacbd", paulis.transpose(0, 2, 1), paulis)
-    basis = basis.reshape(16, 16, 16, 16)
-    return np.einsum("ij,ijkl->kl", r, basis) / 16.0
+    return np.einsum("ij,ijkl->kl", r, _choi_basis()) / 16.0
 
 
 def ptm_from_choi(chi: np.ndarray) -> np.ndarray:
     """Inverse of :func:`choi_from_ptm`: R[i,j] = Tr((P_j^T kron P_i) chi)."""
     chi = np.asarray(chi, dtype=complex)
-    paulis = pauli_matrices(2)
-    basis = np.einsum("jab,icd->ijacbd", paulis.transpose(0, 2, 1), paulis)
-    basis = basis.reshape(16, 16, 16, 16)
-    return np.real(np.einsum("ijlk,kl->ij", basis, chi))
+    return np.real(np.einsum("ijlk,kl->ij", _choi_basis(), chi))
 
 
 def choi_tp_residual(chi: np.ndarray) -> float:

@@ -104,7 +104,6 @@ def linear_inversion_ptm(
 @dataclass
 class ProjectionResult:
     ptm: np.ndarray
-    choi: np.ndarray
     iterations: int
     converged: bool
     min_eigenvalue: float
@@ -151,7 +150,6 @@ def project_cptp(r: np.ndarray) -> ProjectionResult:
     vals = np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)
     return ProjectionResult(
         ptm=np.real(pauli.ptm_from_choi(chi)),
-        choi=chi,
         iterations=iterations,
         converged=converged,
         min_eigenvalue=float(vals.min()),
@@ -163,12 +161,10 @@ def project_cptp(r: np.ndarray) -> ProjectionResult:
 
 @dataclass
 class QptReport:
-    raw_ptm: np.ndarray
     ptm: np.ndarray
     fidelity_raw: float
     fidelity: float
     projection: ProjectionResult
-    seed: int
 
 
 def qpt_report(
@@ -180,12 +176,10 @@ def qpt_report(
     raw = linear_inversion_ptm(data, spam)
     projection = project_cptp(raw)
     return QptReport(
-        raw_ptm=raw,
         ptm=projection.ptm,
         fidelity_raw=pauli.avg_gate_fidelity(raw, ideal),
         fidelity=pauli.avg_gate_fidelity(projection.ptm, ideal),
         projection=projection,
-        seed=data.seed,
     )
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from rbsim import cli, rb
+from rbsim import config as cfgmod
 from rbsim import device as dev
 
 
@@ -451,7 +452,7 @@ def test_flags_are_validated_like_config_values(capsys):
     ("[device]\nt1_1_us = nan\n", ("qpt", "--exact"),
      "t1_1_us must be a number, got nan"),
     ("[spam]\nmisassignment = nan\n", ("qpt", "--exact"),
-     "confusion matrix entries must be finite"),
+     "[spam] misassignment: misassignment must lie in [0, 1], got nan"),
     ("[device]\ncr_mu = nan\n", ("sweep", "cr-rabi", "--points", "3"),
      "cr_mu must be a number, got nan"),
     (None, ("sweep", "tau2", "--start", "nan"),
@@ -585,3 +586,73 @@ def test_seed_in_every_summary(capsys, depol_config):
     for argv in commands:
         _, summary, _ = run_cli(capsys, *argv, "--seed", "123")
         assert summary["seed"] == 123
+
+
+def _stdout(capsys, *argv):
+    cli.main(list(argv))
+    return capsys.readouterr().out
+
+
+def test_every_device_key_changes_an_output(capsys, tmp_path):
+    """A [device] key that no command reads would drop the user's value
+    without a message.  (cr_eta's ZI term cancels in the echo, so its
+    change shows in qpt only at rounding level.)"""
+    commands = (("sweep", "cr-rabi", "--points", "2"), ("qpt", "--exact"))
+    base = [_stdout(capsys, *argv) for argv in commands]
+    ini = tmp_path / "device.ini"
+    stock = dev.DeviceParams()
+    keys = [key for section, key in cfgmod.FIELDS if section == "device"]
+    assert len(keys) == 12
+    for key in keys:
+        value = getattr(stock, key) * 1.5 or 0.01
+        ini.write_text(f"[device]\n{key} = {value!r}\n")
+        changed = [_stdout(capsys, *argv, "--config", str(ini)) != out
+                   for argv, out in zip(commands, base)]
+        assert any(changed), key
+
+
+@pytest.mark.parametrize("key", ["omega1_ghz", "omega2_ghz", "anharm1_mhz",
+                                 "anharm2_mhz", "sigma_ns"])
+def test_model_free_device_keys_are_unknown(capsys, tmp_path, key):
+    """Qubit frequencies, anharmonicities and the pulse width have no
+    place in the two-level rotating-frame model."""
+    ini = tmp_path / "device.ini"
+    ini.write_text(f"[device]\n{key} = 1.0\n")
+    code, summary, err = run_cli(capsys, "qpt", "--exact", "--config",
+                                 str(ini))
+    assert (code, summary) == (1, None)
+    assert f"[device] {key}: unknown key" in err
+
+
+DEPOL_SPAM_INI = """
+[rb]
+noise_model = depolarizing
+
+[spam]
+thermal = 0.02
+misassignment = 0.03
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "group stats", "group verify", "group verify --corrupt-element 7000",
+    "rb standard", "rb interleaved", "rb simultaneous",
+    "qpt", "qpt --target identity", "sweep cr-rabi --points 2",
+    "sweep tau2 --points 2",
+    "rb standard --exact", "rb interleaved --exact",
+    "rb simultaneous --exact", "qpt --exact --target iswap",
+    "sweep tau2 --points 2 --exact",
+    "rb standard SPAM", "rb interleaved --gate cnot SPAM",
+    "rb simultaneous SPAM", "qpt --target iswap SPAM",
+    "qpt --spam-aware --shots 500 SPAM", "sweep tau2 --points 2 SPAM",
+])
+def test_summaries_are_plain_json(capsys, tmp_path, argv):
+    """Every summary value is a Python type, so json.dumps needs no hook
+    and the printed text is what re-dumping its parse gives."""
+    words = argv.split()
+    if words[-1] == "SPAM":
+        ini = tmp_path / "depol_spam.ini"
+        ini.write_text(DEPOL_SPAM_INI)
+        words[-1:] = ["--config", str(ini)]
+    out = _stdout(capsys, *words)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

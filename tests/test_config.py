@@ -148,10 +148,16 @@ def test_rejects_bad_profiles(tmp_path, text):
      "[qpt] shots: qpt_shots must be positive (or exact), got 0"),
     ("[rb]\nsequences = 0\n",
      "[rb] sequences: n_sequences must be at least 1, got 0"),
-    ("[rb]\nshots = 0\n", "[rb] shots: shots must be positive"),
+    ("[rb]\nshots = 0\n",
+     "[rb] shots: shots must be positive (or exact), got 0"),
     ("[run]\nseed = -1\n", "[run] seed: seed must be non-negative"),
     ("[sweep]\ntau2_points = 1\n",
      "[sweep] tau2_points: tau2_points must be at least 2, got 1"),
+    # the misassignment as written, not an entry of the matrix built from it
+    *((f"[spam]\nmisassignment = {text}\n",
+       f"[spam] misassignment: misassignment must lie in [0, 1], got {shown}")
+      for text, shown in (("-1", "-1.0"), ("1.5", "1.5"), ("nan", "nan"),
+                          ("inf", "inf"), ("1e308", "1e+308"))),
 ])
 def test_rejections_name_the_field(tmp_path, text, message):
     with pytest.raises(cfg.ConfigError, match=re.escape(message)):

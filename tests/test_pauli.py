@@ -214,6 +214,16 @@ def test_choi_of_cp_channel_is_psd_and_tp():
     np.testing.assert_allclose(np.trace(chi).real, 1.0, atol=1e-12)
 
 
+def test_choi_basis_is_built_once_read_only():
+    basis = pauli._choi_basis()
+    assert basis is pauli._choi_basis()
+    assert basis.shape == (16, 16, 16, 16) and not basis.flags.writeable
+    paulis = pauli.pauli_matrices(2)
+    for i, j in ((0, 0), (3, 7), (14, 9)):
+        np.testing.assert_array_equal(basis[i, j],
+                                      np.kron(paulis[j].T, paulis[i]))
+
+
 def test_choi_is_hermitian():
     rng = np.random.default_rng(23)
     r = pauli.unitary_to_ptm(_random_unitary(rng, 4))

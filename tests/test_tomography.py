@@ -193,7 +193,6 @@ def test_qpt_report_scores_identity(table):
     assert report.fidelity_raw == pytest.approx(1.0, abs=1e-9)
     assert report.fidelity == pytest.approx(1.0, abs=1e-9)
     assert report.projection.converged
-    assert report.seed == 1234
 
 
 def test_qpt_csv_round_trip(tmp_path, table):
